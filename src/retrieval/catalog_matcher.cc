@@ -136,9 +136,21 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
     // split-serving engine, its layer-k prefix is encoded once per
     // truncation length instead of once per candidate.
     const serve::PinnedQuery pinned = engine_->PinQuery(std::string(query));
+    // One snapshot of the candidate texts, under one shared lock, feeds both
+    // the submissions and the returned matches.
+    std::vector<std::string> texts(static_cast<size_t>(rerank));
+    {
+      std::shared_lock<std::shared_mutex> lock(texts_mu_);
+      for (int64_t i = 0; i < rerank; ++i) {
+        const int64_t id = cands[static_cast<size_t>(i)].id;
+        if (id >= 0 && id < static_cast<int64_t>(texts_.size())) {
+          texts[static_cast<size_t>(i)] = texts_[static_cast<size_t>(id)];
+        }
+      }
+    }
     for (int64_t i = 0; i < rerank; ++i) {
-      futures.push_back(engine_->SubmitAgainst(pinned, Text(cands[i].id),
-                                               options_.rerank_timeout_us));
+      futures.push_back(engine_->SubmitAgainst(
+          pinned, texts[static_cast<size_t>(i)], options_.rerank_timeout_us));
     }
     for (int64_t i = 0; i < rerank; ++i) {
       serve::MatchResult r = futures[static_cast<size_t>(i)].get();
@@ -149,7 +161,7 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
       }
       CatalogMatch m;
       m.id = cands[static_cast<size_t>(i)].id;
-      m.text = Text(m.id);
+      m.text = std::move(texts[static_cast<size_t>(i)]);
       m.retrieval_score = cands[static_cast<size_t>(i)].score;
       m.probability = r.probability;
       m.is_match = r.is_match;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <unordered_set>
 
 #include "io/atomic_file.h"
@@ -260,57 +259,69 @@ std::vector<ScoredId> QGramIndex::TopK(std::string_view query,
                               static_cast<int64_t>(features.size())},
                              {"k", k}});
     });
+    const uint32_t ns = static_cast<uint32_t>(options_.num_shards);
     ParallelFor(options_.num_shards, 1, [&](int64_t lo, int64_t hi) {
+      // Dense accumulator over shard-local ids (shard s holds ids s, s+ns,
+      // ..., so id / ns is dense), shared by this task's shards. A score of
+      // 0 marks an untouched slot — every idf weight is > 0 — and only the
+      // `touched` slots are reset between shards.
+      std::vector<double> acc;
+      std::vector<uint32_t> touched;
       for (int64_t s = lo; s < hi; ++s) {
         Shard& shard = shards_[static_cast<size_t>(s)];
-        std::unordered_map<uint32_t, double> acc;
         // Once `closed`, no NEW candidate ids are admitted; existing
         // accumulators keep updating, in the same feature order as the
         // unpruned path, so survivors score bit-identically.
         bool closed = false;
-        std::vector<double> floor_scratch;
+        double max_score = 0;
         {
           std::shared_lock<std::shared_mutex> lock(shard.mu);
+          // Sized under the lock: postings may hold ids newer than `n`.
+          const size_t slots = static_cast<size_t>(size() / ns + 1);
+          if (acc.size() < slots) acc.resize(slots, 0.0);
           for (size_t i = 0; i < features.size(); ++i) {
-            if (options_.prune_topk && !closed &&
-                static_cast<int64_t>(acc.size()) >= k && k > 0) {
-              // Current k-th best partial score in this shard. Partials
-              // only grow, so it lower-bounds the final k-th best. A record
-              // unseen so far finishes at most at suffix[i] (a subset of
-              // the remaining weights); requiring floor to clear it by a
-              // relative margin absorbs floating-point rounding between
-              // the subset sum and the suffix sum, keeping the strict
-              // comparison safe. Once it clears, at least k records beat
-              // every future first-timer — stop admitting them.
-              floor_scratch.clear();
-              floor_scratch.reserve(acc.size());
-              for (const auto& [id, score] : acc) {
-                floor_scratch.push_back(score);
-              }
-              std::nth_element(floor_scratch.begin(),
-                               floor_scratch.begin() + (k - 1),
-                               floor_scratch.end(), std::greater<double>());
-              const double floor =
-                  floor_scratch[static_cast<size_t>(k - 1)];
-              if (floor > suffix[i] * (1.0 + 1e-9)) closed = true;
+            const double bound = suffix[i] * (1.0 + 1e-9);
+            if (options_.prune_topk && !closed && max_score > bound &&
+                static_cast<int64_t>(touched.size()) >= k) {
+              // Close once k partial scores exceed the bound. Partials only
+              // grow, so the k-th best partial lower-bounds the final k-th
+              // best. A record unseen so far finishes at most at suffix[i]
+              // (a subset of the remaining weights); the relative margin
+              // absorbs floating-point rounding between the subset sum and
+              // the suffix sum, keeping the strict comparison safe. Then at
+              // least k records beat every future first-timer. Counting
+              // partials above the bound is the same test as comparing the
+              // k-th best to it, without selecting it.
+              int64_t above = 0;
+              for (uint32_t l : touched) above += acc[l] > bound;
+              if (above >= k) closed = true;
             }
             auto it = shard.features.find(features[i]);
             if (it == shard.features.end() || it->second.stopped) continue;
+            const double w = weights[i];
             if (closed) {
               for (uint32_t id : it->second.ids) {
-                auto entry = acc.find(id);
-                if (entry != acc.end()) entry->second += weights[i];
+                double& score = acc[id / ns];
+                if (score != 0) score += w;
               }
             } else {
-              for (uint32_t id : it->second.ids) acc[id] += weights[i];
+              for (uint32_t id : it->second.ids) {
+                const uint32_t l = id / ns;
+                double& score = acc[l];
+                if (score == 0) touched.push_back(l);
+                score += w;
+                max_score = std::max(max_score, score);
+              }
             }
           }
         }
         std::vector<ScoredId>& local = per_shard[static_cast<size_t>(s)];
-        local.reserve(acc.size());
-        for (const auto& [id, score] : acc) {
-          local.push_back({static_cast<int64_t>(id), score});
+        local.reserve(touched.size());
+        for (uint32_t l : touched) {
+          local.push_back({static_cast<int64_t>(l) * ns + s, acc[l]});
+          acc[l] = 0;
         }
+        touched.clear();
         if (static_cast<int64_t>(local.size()) > k) {
           std::nth_element(local.begin(), local.begin() + k, local.end(),
                            ScoreOrder);
@@ -428,6 +439,14 @@ Result<QGramIndex> QGramIndex::LoadFrom(std::istream& in) {
       in.read(reinterpret_cast<char*>(pl.ids.data()),
               static_cast<std::streamsize>(pl.ids.size() * sizeof(uint32_t)));
       if (!in.good()) return Status::IoError("truncated posting list");
+      // TopK indexes its per-shard accumulator by id / num_shards: every
+      // posting must be a record of this shard that the header counts.
+      const auto ns = static_cast<uint32_t>(options.num_shards);
+      for (uint32_t id : pl.ids) {
+        if (id >= next_id || id % ns != s) {
+          return Status::InvalidArgument("posting id outside its shard");
+        }
+      }
       shard.features.emplace(std::move(key), std::move(pl));
     }
   }

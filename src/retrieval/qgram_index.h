@@ -45,14 +45,16 @@ struct IndexOptions {
   /// the target shard's writer lock, so streaming AddRecord/AddBatch can
   /// proceed while queries run.
   int64_t num_shards = 8;
-  /// Max-score (WAND-style) pruning in TopK: once a shard holds k
-  /// candidates whose k-th best partial score already exceeds the summed
-  /// idf weight of every feature still unprocessed, records first seen in
-  /// those remaining (low-weight, long-posting-list) features cannot reach
-  /// the top k and are never materialized. Results are identical to the
-  /// unpruned path — scores accumulate in the same feature order, and the
-  /// bound is checked with a strict margin (see TopK). Query-time only;
-  /// not persisted by Save.
+  /// Max-score (WAND-style) pruning in TopK: once at least k of a shard's
+  /// candidates have a partial score above the summed idf weight of every
+  /// feature still unprocessed, records first seen in those remaining
+  /// (low-weight, long-posting-list) features cannot reach the top k and
+  /// are never materialized. Scores accumulate in a dense per-shard array
+  /// indexed by id / num_shards, so the check is a count over the touched
+  /// slots, skipped while the running max score is still under the bound.
+  /// Results are identical to the unpruned path — scores accumulate in the
+  /// same feature order, and the bound is checked with a strict margin (see
+  /// TopK). Query-time only; not persisted by Save.
   bool prune_topk = true;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -9,6 +10,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/entity_matcher.h"
@@ -172,6 +175,36 @@ TEST(QGramIndexTest, LoadRejectsGarbageAndTruncation) {
   const std::string bytes = full.str();
   std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
   EXPECT_FALSE(QGramIndex::LoadFrom(truncated).ok());
+
+  // Well-formed framing whose one posting names a record outside its shard
+  // (or beyond the record count): TopK indexes its accumulator by posting
+  // id, so Load must refuse it.
+  auto one_posting = [](uint32_t id) {
+    std::ostringstream out;
+    auto i64 = [&](int64_t v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    out.write("EMXRIDX1", 8);
+    for (int64_t v : {int64_t{3}, int64_t{1}, int64_t{1} << 14,
+                      int64_t{2} /* shards */, int64_t{4} /* records */}) {
+      i64(v);
+    }
+    i64(1);  // shard 0: one feature
+    i64(2);
+    out.write("ab", 2);
+    for (int64_t v : {int64_t{1} /* df */, int64_t{0}, int64_t{1}}) i64(v);
+    out.write(reinterpret_cast<const char*>(&id), sizeof(id));
+    i64(0);  // shard 1: no features
+    return out.str();
+  };
+  std::istringstream valid(one_posting(2));
+  EXPECT_TRUE(QGramIndex::LoadFrom(valid).ok());
+  for (uint32_t bad : {1u, 4u, 0xFFFFFFFEu}) {
+    std::istringstream corrupt(one_posting(bad));
+    EXPECT_EQ(QGramIndex::LoadFrom(corrupt).status().code(),
+              StatusCode::kInvalidArgument)
+        << "posting id " << bad;
+  }
 }
 
 TEST(QGramIndexTest, SaveIsAtomicAndEveryTruncationFails) {
@@ -370,6 +403,135 @@ TEST(QGramIndexTest, PrunedTopKHandlesEdgeCases) {
   auto exact = index.TopK("acer zen zx55 laptop", 1);
   ASSERT_EQ(exact.size(), 1u);
   EXPECT_EQ(exact[0].id, 0);
+}
+
+// ---- Exactness against a reference scorer ----------------------------------
+
+// Brute-force TopK: every record scored by summing log(1 + n / (1 + df)) over
+// the query features it shares, in query-feature order — the index's
+// documented score, with df counted from every record's Features(). Only
+// valid when no feature crosses the posting cap.
+class BruteForceScorer {
+ public:
+  BruteForceScorer(const QGramIndex& index,
+                   const std::vector<std::string>& records)
+      : index_(index) {
+    for (const std::string& r : records) {
+      auto feats = index.Features(r);
+      for (const std::string& f : feats) ++df_[f];
+      record_features_.emplace_back(feats.begin(), feats.end());
+    }
+  }
+
+  std::vector<ScoredId> TopK(const std::string& query, int64_t k) const {
+    const double n = static_cast<double>(record_features_.size());
+    const std::vector<std::string> query_features = index_.Features(query);
+    std::vector<ScoredId> all;
+    for (size_t r = 0; r < record_features_.size(); ++r) {
+      double score = 0;
+      for (const std::string& f : query_features) {
+        if (record_features_[r].count(f) == 0) continue;
+        score += std::log(1.0 + n / (1.0 + static_cast<double>(df_.at(f))));
+      }
+      if (score > 0) all.push_back({static_cast<int64_t>(r), score});
+    }
+    std::sort(all.begin(), all.end(),
+              [](const ScoredId& a, const ScoredId& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.id < b.id;
+              });
+    if (static_cast<int64_t>(all.size()) > k) {
+      all.resize(static_cast<size_t>(k));
+    }
+    return all;
+  }
+
+ private:
+  const QGramIndex& index_;
+  std::vector<std::unordered_set<std::string>> record_features_;
+  std::unordered_map<std::string, int64_t> df_;
+};
+
+void ExpectSameTopK(const std::vector<ScoredId>& got,
+                    const std::vector<ScoredId>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << what << " rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << what << " rank " << i;
+  }
+}
+
+TEST(QGramIndexTest, TopKIsBitIdenticalToBruteForce) {
+  data::CatalogSpec spec;
+  spec.num_records = 400;
+  spec.num_queries = 15;
+  data::Catalog cat = data::GenerateCatalog(spec);
+  const int64_t n = static_cast<int64_t>(cat.records.size());
+  const QGramIndex features_only;  // Features() depends only on the options
+  const BruteForceScorer reference(features_only, cat.records);
+
+  for (int64_t shards : {1, 3, 8}) {
+    for (bool prune : {true, false}) {
+      IndexOptions opts;
+      opts.num_shards = shards;
+      opts.prune_topk = prune;
+      opts.max_postings = int64_t{1} << 30;  // no stop features
+      QGramIndex index(opts);
+      index.AddBatch(cat.records);
+      ASSERT_EQ(index.num_stop_features(), 0);
+      for (const std::string& q : cat.queries) {
+        for (int64_t k : {int64_t{1}, int64_t{5}, int64_t{64}, n + 10}) {
+          ExpectSameTopK(index.TopK(q, k), reference.TopK(q, k),
+                         "shards=" + std::to_string(shards) +
+                             " prune=" + std::to_string(prune) +
+                             " k=" + std::to_string(k) + " q=" + q);
+        }
+      }
+    }
+  }
+}
+
+TEST(QGramIndexTest, TopKScratchDoesNotLeakAcrossQueries) {
+  // Alternating queries over two indexes of different shard counts and
+  // sizes, one growing between queries, must each answer exactly as a
+  // freshly built index over the same records: a per-query accumulator that
+  // is not reset, or is sized from a stale record count, shows up here.
+  data::CatalogSpec spec;
+  spec.num_records = 600;
+  spec.num_queries = 12;
+  data::Catalog cat = data::GenerateCatalog(spec);
+  const std::vector<std::string> small_records(cat.records.begin(),
+                                               cat.records.begin() + 450);
+  const std::vector<std::string> large_records(cat.records.begin() + 150,
+                                               cat.records.end());
+
+  IndexOptions small_opts;
+  small_opts.num_shards = 3;
+  IndexOptions large_opts;
+  large_opts.num_shards = 8;
+  QGramIndex small(small_opts);
+  QGramIndex large(large_opts);
+  large.AddBatch(large_records);
+  QGramIndex fresh_large(large_opts);
+  fresh_large.AddBatch(large_records);
+
+  constexpr size_t kGrowth = 90;
+  for (size_t end = kGrowth; end <= small_records.size(); end += kGrowth) {
+    small.AddBatch(std::vector<std::string>(small_records.begin() + end -
+                                                kGrowth,
+                                            small_records.begin() + end));
+    const std::vector<std::string> grown(small_records.begin(),
+                                         small_records.begin() + end);
+    QGramIndex fresh_small(small_opts);
+    fresh_small.AddBatch(grown);
+    for (const std::string& q : cat.queries) {
+      const std::string what = "records=" + std::to_string(end) + " q=" + q;
+      ExpectSameTopK(small.TopK(q, 20), fresh_small.TopK(q, 20),
+                     "small " + what);
+      ExpectSameTopK(large.TopK(q, 20), fresh_large.TopK(q, 20),
+                     "large " + what);
+    }
+  }
 }
 
 // ---- CatalogMatcher (end-to-end with the serving engine) -------------------
