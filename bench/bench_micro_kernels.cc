@@ -1,16 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the compute kernels underlying
-// the reproduction: matmul, softmax, LayerNorm, a full encoder-layer
-// forward/backward, the three subword tokenizers, and the autograd tape
-// overhead. These are the knobs that determine the Table 6 timings.
+// the reproduction: matmul, GELU and the fp32 FFN block, softmax,
+// LayerNorm, a full encoder-layer forward/backward, the three subword
+// tokenizers, and the autograd tape overhead. These are the knobs that
+// determine the Table 6 timings. GEMM-bound cases report achieved FLOP/s.
 
 #include <benchmark/benchmark.h>
 
 #include "models/encoder.h"
 #include "nn/attention.h"
+#include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "pretrain/corpus.h"
 #include "tensor/autograd_ops.h"
 #include "tensor/tensor_ops.h"
+#include "tests/reference_kernels.h"
 #include "tokenizers/byte_bpe.h"
 #include "tokenizers/unigram.h"
 #include "tokenizers/wordpiece.h"
@@ -21,6 +24,14 @@ namespace {
 
 namespace ag = autograd;
 
+/// Reports the achieved rate of `flops_per_iter` floating-point operations
+/// per iteration as the "FLOP/s" counter (printed as e.g. 24.2G/s).
+void SetFlopRate(benchmark::State& state, double flops_per_iter) {
+  state.counters["FLOP/s"] = benchmark::Counter(
+      flops_per_iter, benchmark::Counter::kIsIterationInvariantRate,
+      benchmark::Counter::OneK::kIs1000);
+}
+
 void BM_MatMul(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(1);
@@ -29,21 +40,22 @@ void BM_MatMul(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(ops::MatMul(a, b));
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  SetFlopRate(state, 2.0 * n * n * n);
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-/// The pre-rewrite triple-loop kernel, kept as ops::MatMulNaive; the ratio
-/// BM_MatMul/256 : BM_MatMulNaive/256 is the blocked-GEMM speedup.
+/// The pre-rewrite triple-loop kernel, kept as the test-only
+/// reference::MatMulNaive; the ratio BM_MatMul/256 : BM_MatMulNaive/256 is
+/// the blocked-GEMM speedup.
 void BM_MatMulNaive(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(1);
   Tensor a = Tensor::Randn({n, n}, &rng);
   Tensor b = Tensor::Randn({n, n}, &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::MatMulNaive(a, b));
+    benchmark::DoNotOptimize(reference::MatMulNaive(a, b));
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  SetFlopRate(state, 2.0 * n * n * n);
 }
 BENCHMARK(BM_MatMulNaive)->Arg(256);
 
@@ -56,9 +68,81 @@ void BM_MatMulTransB(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(ops::MatMul(a, b, false, true));
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  SetFlopRate(state, 2.0 * n * n * n);
 }
 BENCHMARK(BM_MatMulTransB)->Arg(256);
+
+// ---- fp32 FFN ----------------------------------------------------------------
+// The FFN shape of the benchmark model: [2048 x 64] -> 256 -> 64.
+
+constexpr int64_t kFfnRows = 2048;
+constexpr int64_t kFfnHidden = 64;
+constexpr int64_t kFfnInner = 256;
+
+void BM_Gelu(benchmark::State& state) {
+  Rng rng(9);
+  Tensor x = Tensor::Randn({kFfnRows, kFfnInner}, &rng, 2.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::Gelu(x));
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_Gelu);
+
+void BM_GeluGrad(benchmark::State& state) {
+  Rng rng(9);
+  Tensor x = Tensor::Randn({kFfnRows, kFfnInner}, &rng, 2.0f);
+  Tensor dy = Tensor::Randn({kFfnRows, kFfnInner}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::GeluGrad(dy, x));
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_GeluGrad);
+
+/// The std::tanh GELU the rational tanh replaced, for the BM_Gelu ratio.
+void BM_GeluStdTanh(benchmark::State& state) {
+  Rng rng(9);
+  Tensor x = Tensor::Randn({kFfnRows, kFfnInner}, &rng, 2.0f);
+  for (auto _ : state) {
+    Tensor y(x.shape());
+    for (int64_t i = 0; i < x.size(); ++i) {
+      y[i] = reference::GeluReference(x[i]);
+    }
+    benchmark::DoNotOptimize(y);
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_GeluStdTanh);
+
+/// Grad-free fp32 FeedForward (fc1 with its bias + GELU epilogue, fc2).
+void BM_FeedForwardBlock(benchmark::State& state) {
+  Rng rng(10);
+  nn::FeedForward ffn(kFfnHidden, kFfnInner, &rng);
+  Variable x = Variable::Constant(Tensor::Randn({kFfnRows, kFfnHidden}, &rng));
+  NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ffn.Forward(x, 0.0f, false, &rng));
+  }
+  SetFlopRate(state, 2.0 * 2.0 * kFfnRows * kFfnHidden * kFfnInner);
+}
+BENCHMARK(BM_FeedForwardBlock);
+
+/// Training step of the same block: forward, then backward through both
+/// fused Linear nodes (three GEMM-sized products per Linear).
+void BM_FeedForwardBlockTrain(benchmark::State& state) {
+  Rng rng(10);
+  nn::FeedForward ffn(kFfnHidden, kFfnInner, &rng);
+  Tensor xt = Tensor::Randn({kFfnRows, kFfnHidden}, &rng);
+  for (auto _ : state) {
+    ffn.ZeroGrad();
+    Variable x = Variable::Parameter(xt);
+    Backward(ag::SumAll(ffn.Forward(x, 0.0f, true, &rng)));
+    benchmark::DoNotOptimize(x.grad()[0]);
+  }
+  SetFlopRate(state, 3.0 * 2.0 * 2.0 * kFfnRows * kFfnHidden * kFfnInner);
+}
+BENCHMARK(BM_FeedForwardBlockTrain);
 
 void BM_BatchedAttentionMatMul(benchmark::State& state) {
   // The QK^T shape of a fine-tuning batch: [16, 2, 56, 32] x transpose.

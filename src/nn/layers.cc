@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include "tensor/tensor_ops.h"
 #include "util/logging.h"
 
 namespace emx {
@@ -9,6 +10,21 @@ namespace ag = autograd;
 
 namespace {
 thread_local bool g_quant_mode_enabled = true;
+
+/// The kernel-level activation for `activation`.
+ops::Act KernelAct(Activation activation) {
+  switch (activation) {
+    case Activation::kGelu:
+      return ops::Act::kGelu;
+    case Activation::kRelu:
+      return ops::Act::kRelu;
+    case Activation::kTanh:
+      return ops::Act::kTanh;
+  }
+  EMX_CHECK(false) << "unknown activation";
+  return ops::Act::kNone;
+}
+
 }  // namespace
 
 bool QuantMode::IsEnabled() { return g_quant_mode_enabled; }
@@ -22,37 +38,29 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng* rng,
           Tensor::Randn({in_features, out_features}, rng, init_stddev))),
       bias_(Variable::Parameter(Tensor::Zeros({out_features}))) {}
 
-Variable Linear::Forward(const Variable& x) const {
+Variable Linear::Forward(const Variable& x, ops::Act act) const {
   const Shape& in_shape = x.shape();
   EMX_CHECK_EQ(in_shape.back(), in_features_)
       << "Linear: input last dim " << in_shape.back() << " != in_features "
       << in_features_;
-  Shape out_shape(in_shape.begin(), in_shape.end() - 1);
-  out_shape.push_back(out_features_);
 
   // Backend routing is inference-only: training forwards (tape on) always
   // take the fp32 path below, so the autograd graph never sees the backend.
   const bool inference = backend_ != nullptr && !GradMode::IsEnabled();
   if (inference && backend_->ready() && QuantMode::IsEnabled()) {
+    Shape out_shape(in_shape.begin(), in_shape.end() - 1);
+    out_shape.push_back(out_features_);
     Tensor x2d = x.value().Reshape({-1, in_features_});
-    return Variable::Constant(backend_->Forward(x2d).Reshape(out_shape));
+    return Variable::Constant(
+        ops::Activate(backend_->Forward(x2d), act).Reshape(out_shape));
   }
   const bool calibrating = inference && !backend_->ready();
-  if (calibrating) {
-    backend_->ObserveInput(x.value().Reshape({-1, in_features_}));
-  }
+  if (!calibrating) return ag::LinearAct(x, weight_, bias_, act);
 
-  Variable y;
-  if (x.value().ndim() == 2) {
-    y = ag::AddBias(ag::MatMul(x, weight_), bias_);
-  } else {
-    // Flatten leading dims, multiply, restore.
-    Variable flat = ag::Reshape(x, {-1, in_features_});
-    y = ag::Reshape(ag::AddBias(ag::MatMul(flat, weight_), bias_), out_shape);
-  }
-  if (calibrating) {
-    backend_->ObserveOutput(y.value().Reshape({-1, out_features_}));
-  }
+  backend_->ObserveInput(x.value().Reshape({-1, in_features_}));
+  Tensor pre_act;
+  Variable y = ag::LinearAct(x, weight_, bias_, act, &pre_act);
+  backend_->ObserveOutput(pre_act.Reshape({-1, out_features_}));
   return y;
 }
 
@@ -133,7 +141,7 @@ Variable FeedForward::Forward(const Variable& x, float dropout_p, bool train,
     Tensor x2d = x.value().Reshape({-1, in_shape.back()});
     return Variable::Constant(backend_->Forward(x2d).Reshape(in_shape));
   }
-  Variable h = ApplyActivation(fc1_.Forward(x), activation_);
+  Variable h = fc1_.Forward(x, KernelAct(activation_));
   h = ag::Dropout(h, dropout_p, train, rng);
   return fc2_.Forward(h);
 }

@@ -80,15 +80,19 @@ class FeedForwardBackend {
 };
 
 /// Affine layer y = x @ W + b with W of shape [in, out].
-/// Accepts inputs of shape [..., in]; leading dims are flattened and
-/// restored, so callers can pass [B, T, in] directly.
+/// Accepts inputs of shape [..., in]; leading dims are rows of one GEMM,
+/// so callers can pass [B, T, in] directly.
 class Linear : public Module {
  public:
   /// Initializes W ~ N(0, init_stddev^2) (BERT uses 0.02), b = 0.
   Linear(int64_t in_features, int64_t out_features, Rng* rng,
          float init_stddev = 0.02f);
 
-  Variable Forward(const Variable& x) const;
+  /// y = act(x @ W + b) through the fused ag::LinearAct node (bias and
+  /// activation in the GEMM epilogue). A calibrating backend observes the
+  /// pre-activation x @ W + b; a ready backend replaces the affine map and
+  /// `act` is applied to its output.
+  Variable Forward(const Variable& x, ops::Act act = ops::Act::kNone) const;
 
   void CollectParameters(const std::string& prefix,
                          std::vector<NamedParam>* out) override;
@@ -159,7 +163,8 @@ class LayerNorm : public Module {
 /// Which nonlinearity a FeedForward uses.
 enum class Activation { kGelu, kRelu, kTanh };
 
-/// Position-wise feed-forward block: Linear -> activation -> Linear.
+/// Position-wise feed-forward block: Linear -> activation -> Linear. The
+/// fp32 path fuses fc1's bias and activation into its GEMM.
 class FeedForward : public Module {
  public:
   FeedForward(int64_t hidden, int64_t intermediate, Rng* rng,

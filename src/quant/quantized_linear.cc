@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "tensor/kernel_math.h"
 #include "util/logging.h"
 
 namespace emx {
@@ -67,14 +68,12 @@ Tensor Int8LinearBackend::Forward(const Tensor& x2d) const {
 
 float ActivationScalar(float x, nn::Activation activation) {
   switch (activation) {
-    case nn::Activation::kGelu: {
-      constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-      return 0.5f * x * (1.0f + std::tanh(kGeluC * (x + 0.044715f * x * x * x)));
-    }
+    case nn::Activation::kGelu:
+      return ops::Gelu(x);
     case nn::Activation::kRelu:
-      return x > 0 ? x : 0;
+      return ops::Relu(x);
     case nn::Activation::kTanh:
-      return std::tanh(x);
+      return ops::TanhApprox(x);
   }
   EMX_CHECK(false) << "unknown activation";
   return x;

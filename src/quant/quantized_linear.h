@@ -67,10 +67,9 @@ class Int8LinearBackend : public nn::LinearBackend {
 ///   activation-input grid -> 256-entry activation LUT -> int8 GEMM (fc2)
 ///   -> dequant.
 /// The LUT maps each u8 code of the fc1-output grid to the u8 code of the
-/// corresponding activation value on the fc2-input grid, replacing a
-/// tanh-based GELU per element (the single hottest op in the fp32 forward)
-/// with a table read. Always ready: it is built only at freeze time, from
-/// the two inner Linears' calibration.
+/// corresponding activation value on the fc2-input grid, replacing the
+/// activation's arithmetic per element with a table read. Always ready: it
+/// is built only at freeze time, from the two inner Linears' calibration.
 class Int8FfnBackend : public nn::FeedForwardBackend {
  public:
   /// `mid_in` is the fc1-output (pre-activation) grid; fc2's packed input
@@ -94,8 +93,10 @@ class Int8FfnBackend : public nn::FeedForwardBackend {
   std::array<uint8_t, 256> lut_;
 };
 
-/// The activation value f(x) used by the LUT; matches the fp32 ops
-/// (tanh-approximated GELU) so quantization error is the only delta.
+/// The activation value f(x) used by the LUT: the scalar functions of
+/// tensor/kernel_math.h that the fp32 ops and the GEMM epilogue run, so
+/// the two paths cannot drift apart and quantization error is the only
+/// delta.
 float ActivationScalar(float x, nn::Activation activation);
 
 /// nn::Module wrapper over an int8 backend: the standalone quantized

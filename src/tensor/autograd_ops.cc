@@ -126,6 +126,39 @@ Variable MatMul(const Variable& a, const Variable& b, bool trans_a,
       "matmul");
 }
 
+Variable LinearAct(const Variable& x, const Variable& w, const Variable& b,
+                   ops::Act act, Tensor* pre_act) {
+  const bool needs_grad =
+      GradMode::IsEnabled() &&
+      (x.requires_grad() || w.requires_grad() || b.requires_grad());
+  const bool keep_u =
+      act != ops::Act::kNone && (needs_grad || pre_act != nullptr);
+  Tensor u;
+  Tensor value = ops::MatMulBiasAct(x.value(), w.value(), b.value(), act,
+                                    keep_u ? &u : nullptr);
+  if (pre_act != nullptr) *pre_act = keep_u ? u : value;
+  if (!needs_grad) return Variable::Constant(std::move(value));
+  return Variable::MakeOpResult(
+      std::move(value), {x, w, b},
+      [x, w, b, act, u](const Tensor& g) {
+        const int64_t k = w.value().dim(0);
+        const int64_t n = w.value().dim(1);
+        Tensor db;
+        const Tensor dz =
+            ops::ActGradWithBiasGrad(g, u, act, &db).Reshape({-1, n});
+        if (x.requires_grad()) {
+          AccumulateGrad(x, ops::MatMul(dz, w.value(), false, true)
+                                .Reshape(x.value().shape()));
+        }
+        if (w.requires_grad()) {
+          AccumulateGrad(
+              w, ops::MatMul(x.value().Reshape({-1, k}), dz, true, false));
+        }
+        AccumulateGrad(b, db);
+      },
+      "linear_act");
+}
+
 Variable Reshape(const Variable& x, Shape shape) {
   Tensor value = x.value().Reshape(std::move(shape));
   if (!GradMode::IsEnabled()) {

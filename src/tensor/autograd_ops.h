@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/kernel_math.h"
 #include "tensor/tensor.h"
 #include "tensor/variable.h"
 #include "util/rng.h"
@@ -42,6 +43,16 @@ Variable AddBias(const Variable& x, const Variable& bias);
 /// non-batched Linear path reshapes to rank-2 first).
 Variable MatMul(const Variable& a, const Variable& b, bool trans_a = false,
                 bool trans_b = false);
+
+/// y = act(x @ w + b) in one node, on ops::MatMulBiasAct: x [..., K],
+/// w [K, N], b [N], y [..., N]. Leading dims of x are rows, so no reshape
+/// nodes are needed. Values are bit-identical to the MatMul -> AddBias ->
+/// activation chain. With a tape it saves the pre-activation u (act !=
+/// kNone); the backward makes one pass for dz = g * act'(u) and the bias
+/// gradient, then runs the two GEMMs. When `pre_act` is non-null it also
+/// receives u (int8 calibration observes the pre-activation).
+Variable LinearAct(const Variable& x, const Variable& w, const Variable& b,
+                   ops::Act act, Tensor* pre_act = nullptr);
 
 /// Shares storage; backward reshapes the gradient back.
 Variable Reshape(const Variable& x, Shape shape);

@@ -55,8 +55,6 @@ Tensor Binary(const Tensor& a, const Tensor& b, F f, const char* op) {
   return out;
 }
 
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -128,7 +126,7 @@ Tensor Sqrt(const Tensor& x) {
 }
 
 Tensor Tanh(const Tensor& x) {
-  return Elementwise(x, [](float v) { return std::tanh(v); });
+  return Elementwise(x, [](float v) { return TanhApprox(v); });
 }
 
 Tensor Sigmoid(const Tensor& x) {
@@ -136,36 +134,114 @@ Tensor Sigmoid(const Tensor& x) {
 }
 
 Tensor Relu(const Tensor& x) {
-  return Elementwise(x, [](float v) { return v > 0.0f ? v : 0.0f; });
+  return Elementwise(x, [](float v) { return Relu(v); });
 }
 
 Tensor ReluGrad(const Tensor& dy, const Tensor& x) {
-  return Binary(dy, x, [](float g, float v) { return v > 0.0f ? g : 0.0f; },
-                "ReluGrad");
+  return Binary(
+      dy, x, [](float g, float v) { return ActivateGrad<Act::kRelu>(g, v); },
+      "ReluGrad");
 }
 
 Tensor Gelu(const Tensor& x) {
-  return Elementwise(x, [](float v) {
-    return 0.5f * v * (1.0f + std::tanh(kGeluC * (v + 0.044715f * v * v * v)));
-  });
+  return Elementwise(x, [](float v) { return Gelu(v); });
 }
 
 Tensor GeluGrad(const Tensor& dy, const Tensor& x) {
-  return Binary(dy, x,
-                [](float g, float v) {
-                  const float v3 = v * v * v;
-                  const float inner = kGeluC * (v + 0.044715f * v3);
-                  const float t = std::tanh(inner);
-                  const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-                  const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
-                  return g * d;
-                },
-                "GeluGrad");
+  return Binary(
+      dy, x, [](float g, float v) { return ActivateGrad<Act::kGelu>(g, v); },
+      "GeluGrad");
 }
 
 Tensor TanhGradFromOutput(const Tensor& dy, const Tensor& y) {
-  return Binary(dy, y, [](float g, float t) { return g * (1.0f - t * t); },
-                "TanhGrad");
+  return Binary(
+      dy, y, [](float g, float t) { return g * MulAdd(-t, t, 1.0f); },
+      "TanhGrad");
+}
+
+Tensor Activate(const Tensor& x, Act act) {
+  switch (act) {
+    case Act::kNone:
+      return x;
+    case Act::kGelu:
+      return Gelu(x);
+    case Act::kRelu:
+      return Relu(x);
+    case Act::kTanh:
+      return Tanh(x);
+  }
+  EMX_CHECK(false) << "unknown activation";
+  return x;
+}
+
+namespace {
+
+/// Rows per block of ActGradWithBiasGrad; fixed, so the bias-gradient
+/// summation order is the same at every thread count.
+constexpr int64_t kBiasGradRows = 64;
+
+template <Act A>
+void ActGradBlock(const float* dy, const float* u, float* dz, int64_t rows,
+                  int64_t n, float* dbias) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* g = dy + r * n;
+    const float* ur = u + r * n;
+    float* d = dz + r * n;
+    for (int64_t j = 0; j < n; ++j) {
+      d[j] = ActivateGrad<A>(g[j], ur[j]);
+      dbias[j] += d[j];
+    }
+  }
+}
+
+}  // namespace
+
+Tensor ActGradWithBiasGrad(const Tensor& dy, const Tensor& u, Act act,
+                           Tensor* dbias) {
+  const int64_t n = dy.dim(-1);
+  const int64_t rows = dy.size() / n;
+  *dbias = Tensor({n});
+  Tensor dz = dy;
+  if (act != Act::kNone) {
+    CheckSameShape(dy, u, "ActGradWithBiasGrad");
+    dz = Tensor(dy.shape());
+  }
+  const int64_t blocks = (rows + kBiasGradRows - 1) / kBiasGradRows;
+  std::vector<float> partial(static_cast<size_t>(blocks * n), 0.0f);
+  const float* pg = dy.data();
+  const float* pu = act == Act::kNone ? nullptr : u.data();
+  float* pd = dz.data();
+  ParallelFor(blocks, std::max<int64_t>(1, kElemGrain / (kBiasGradRows * n)),
+              [&](int64_t begin, int64_t end) {
+    for (int64_t blk = begin; blk < end; ++blk) {
+      const int64_t r0 = blk * kBiasGradRows;
+      const int64_t nr = std::min(kBiasGradRows, rows - r0);
+      float* db = partial.data() + blk * n;
+      const float* g = pg + r0 * n;
+      switch (act) {
+        case Act::kNone:
+          for (int64_t r = 0; r < nr; ++r) {
+            for (int64_t j = 0; j < n; ++j) db[j] += g[r * n + j];
+          }
+          break;
+        case Act::kGelu:
+          ActGradBlock<Act::kGelu>(g, pu + r0 * n, pd + r0 * n, nr, n, db);
+          break;
+        case Act::kRelu:
+          ActGradBlock<Act::kRelu>(g, pu + r0 * n, pd + r0 * n, nr, n, db);
+          break;
+        case Act::kTanh:
+          ActGradBlock<Act::kTanh>(g, pu + r0 * n, pd + r0 * n, nr, n, db);
+          break;
+      }
+    }
+  });
+  float* pb = dbias->data();
+  for (int64_t blk = 0; blk < blocks; ++blk) {
+    const float* db = partial.data() + blk * n;
+    for (int64_t j = 0; j < n; ++j) pb[j] += db[j];
+  }
+  return dz;
 }
 
 namespace {
@@ -179,8 +255,9 @@ namespace {
 // packing strides. The micro-kernel loads the C tile, accumulates k in
 // ascending order, and stores the tile back once per KC block; every
 // output element therefore sees the exact addition sequence of the naive
-// ascending-k loop, making results bit-identical to MatMulNaive at any
-// thread count.
+// ascending-k loop, making results bit-identical to it at any thread
+// count. An optional epilogue (MatMulBiasAct) adds the bias and applies the
+// activation to each C block once its last KC block is done.
 constexpr int64_t kMC = 64;   // A block rows per task
 constexpr int64_t kKC = 256;  // packed panel depth
 constexpr int64_t kNC = 128;  // packed B panel width
@@ -224,7 +301,7 @@ void MicroKernel(int64_t kc, const float* __restrict__ ap, int64_t lda,
   // registers, where the acc[kMR][kNR] formulation degenerates into
   // shuffle-heavy scalar code. Per output element the accumulation is still
   // a single ascending-k MulAdd chain, so results stay bit-identical to
-  // MicroKernelEdge and MatMulNaive.
+  // MicroKernelEdge and the naive loop.
   static_assert(kMR == 4, "accumulator rows below are unrolled for kMR == 4");
   float a0[kNR], a1[kNR], a2[kNR], a3[kNR];
   for (int64_t j = 0; j < kNR; ++j) {
@@ -270,15 +347,65 @@ void MicroKernelEdge(int64_t mr, int64_t nr, int64_t kc,
   }
 }
 
-/// Computes output rows [i_begin, i_end) of one C = op(A) * op(B).
-/// abuf/bbuf are caller-provided scratch of kMC*kKC and kKC*kNC floats.
+/// Bias + activation applied to each finished C block (MatMulBiasAct).
+struct Epilogue {
+  const float* bias;  // [n]
+  Act act;
+  float* pre;  // receives the [m, n] pre-activation, or null
+};
+
+template <Act A>
+void BiasActBlock(float* c, float* pre, int64_t ldc, int64_t rows,
+                  int64_t cols, const float* bias) {
+  for (int64_t i = 0; i < rows; ++i) {
+    float* cr = c + i * ldc;
+    if (pre != nullptr) {
+      float* ur = pre + i * ldc;
+      for (int64_t j = 0; j < cols; ++j) {
+        const float u = cr[j] + bias[j];
+        ur[j] = u;
+        cr[j] = Activate<A>(u);
+      }
+    } else {
+      for (int64_t j = 0; j < cols; ++j) cr[j] = Activate<A>(cr[j] + bias[j]);
+    }
+  }
+}
+
+/// Runs the epilogue on the C block at (row, col) of `rows` x `cols`.
+void ApplyEpilogue(const Epilogue& ep, float* pc, int64_t ldc, int64_t row,
+                   int64_t col, int64_t rows, int64_t cols) {
+  float* c = pc + row * ldc + col;
+  float* pre = ep.pre == nullptr ? nullptr : ep.pre + row * ldc + col;
+  const float* bias = ep.bias + col;
+  switch (ep.act) {
+    case Act::kNone:
+      BiasActBlock<Act::kNone>(c, pre, ldc, rows, cols, bias);
+      break;
+    case Act::kGelu:
+      BiasActBlock<Act::kGelu>(c, pre, ldc, rows, cols, bias);
+      break;
+    case Act::kRelu:
+      BiasActBlock<Act::kRelu>(c, pre, ldc, rows, cols, bias);
+      break;
+    case Act::kTanh:
+      BiasActBlock<Act::kTanh>(c, pre, ldc, rows, cols, bias);
+      break;
+  }
+}
+
+/// Computes output rows [i_begin, i_end) of one C = op(A) * op(B), then
+/// the epilogue when `ep` is non-null. abuf/bbuf are caller-provided
+/// scratch of kMC*kKC and kKC*kNC floats.
 void GemmRowRange(const GemmShape& d, const float* pa, const float* pb,
                   float* pc, int64_t i_begin, int64_t i_end, float* abuf,
-                  float* bbuf) {
+                  float* bbuf, const Epilogue* ep) {
   for (int64_t jc = 0; jc < d.n; jc += kNC) {
     const int64_t ncb = std::min(kNC, d.n - jc);
-    for (int64_t p = 0; p < d.k; p += kKC) {
+    // k == 0 still makes one (empty) pass, so the epilogue runs.
+    for (int64_t p = 0; p < d.k || p == 0; p += kKC) {
       const int64_t kcb = std::min(kKC, d.k - p);
+      const bool last_k = p + kcb == d.k;
       PackPanel(pb + p * d.b_rs + jc * d.b_cs, d.b_rs, d.b_cs, kcb, ncb, bbuf);
       for (int64_t ic = i_begin; ic < i_end; ic += kMC) {
         const int64_t mcb = std::min(kMC, i_end - ic);
@@ -298,13 +425,17 @@ void GemmRowRange(const GemmShape& d, const float* pa, const float* pb,
             }
           }
         }
+        // The (ic, jc) block is final and still in cache.
+        if (ep != nullptr && last_k) {
+          ApplyEpilogue(*ep, pc, d.n, ic, jc, mcb, ncb);
+        }
       }
     }
   }
 }
 
-/// Resolves shapes/batching shared by MatMul and MatMulNaive. Returns the
-/// zero-initialized output; the strides in *dims absorb the trans flags.
+/// Resolves shapes/batching for MatMul. Returns the zero-initialized
+/// output; the strides in *dims absorb the trans flags.
 Tensor PrepareMatMul(const Tensor& a, const Tensor& b, bool trans_a,
                      bool trans_b, GemmShape* dims, int64_t* batch,
                      bool* a_broadcast, bool* b_broadcast) {
@@ -349,28 +480,16 @@ Tensor PrepareMatMul(const Tensor& a, const Tensor& b, bool trans_a,
   return Tensor(out_shape);
 }
 
-}  // namespace
-
-Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
-  GemmShape dims;
-  int64_t batch;
-  bool a_broadcast, b_broadcast;
-  Tensor out = PrepareMatMul(a, b, trans_a, trans_b, &dims, &batch,
-                             &a_broadcast, &b_broadcast);
-  EMX_TRACE_SPAN("kernel.matmul", [&] {
-    return obs::KeyValues(
-        {{"m", dims.m}, {"n", dims.n}, {"k", dims.k}, {"batch", batch}});
-  });
-  const int64_t a_stride = a.dim(-2) * a.dim(-1);
-  const int64_t b_stride = b.dim(-2) * b.dim(-1);
-  const int64_t c_stride = dims.m * dims.n;
-  const float* pa0 = a.data();
-  const float* pb0 = b.data();
-  float* pc0 = out.data();
-
+/// Runs `batch` GEMMs of shape `dims` into pc0 (zeroed, contiguous
+/// [batch, m, n]); a_stride/b_stride are 0 for a broadcast operand. The
+/// epilogue, when given, applies to a single matrix (batch == 1).
+void RunGemm(const GemmShape& dims, int64_t batch, const float* pa0,
+             int64_t a_stride, const float* pb0, int64_t b_stride,
+             float* pc0, const Epilogue* ep) {
   // One work item = one kMC row block of one batch matrix. Chunks are
   // contiguous item ranges, so a worker sweeps whole row blocks and packs
   // its own B panels into private scratch.
+  const int64_t c_stride = dims.m * dims.n;
   const int64_t blocks_per_mat = (dims.m + kMC - 1) / kMC;
   const int64_t total_items = batch * blocks_per_mat;
   const int64_t item_flops = std::max<int64_t>(
@@ -385,43 +504,61 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
       const int64_t blk = item % blocks_per_mat;
       const int64_t i0 = blk * kMC;
       const int64_t i1 = std::min(i0 + kMC, dims.m);
-      const float* pa = pa0 + (a_broadcast ? 0 : bi * a_stride);
-      const float* pb = pb0 + (b_broadcast ? 0 : bi * b_stride);
-      float* pc = pc0 + bi * c_stride;
-      GemmRowRange(dims, pa, pb, pc, i0, i1, abuf.data(), bbuf.data());
+      GemmRowRange(dims, pa0 + bi * a_stride, pb0 + bi * b_stride,
+                   pc0 + bi * c_stride, i0, i1, abuf.data(), bbuf.data(), ep);
     }
   });
-  return out;
 }
 
-Tensor MatMulNaive(const Tensor& a, const Tensor& b, bool trans_a,
-                   bool trans_b) {
+}  // namespace
+
+Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   GemmShape dims;
   int64_t batch;
   bool a_broadcast, b_broadcast;
   Tensor out = PrepareMatMul(a, b, trans_a, trans_b, &dims, &batch,
                              &a_broadcast, &b_broadcast);
-  const int64_t a_stride = a.dim(-2) * a.dim(-1);
-  const int64_t b_stride = b.dim(-2) * b.dim(-1);
-  const float* pa0 = a.data();
-  const float* pb0 = b.data();
-  float* pc0 = out.data();
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    const float* pa = pa0 + (a_broadcast ? 0 : bi * a_stride);
-    const float* pb = pb0 + (b_broadcast ? 0 : bi * b_stride);
-    float* pc = pc0 + bi * dims.m * dims.n;
-    for (int64_t i = 0; i < dims.m; ++i) {
-      float* c_row = pc + i * dims.n;
-      for (int64_t j = 0; j < dims.n; ++j) {
-        float acc = c_row[j];
-        for (int64_t kk = 0; kk < dims.k; ++kk) {
-          acc = MulAdd(pa[i * dims.a_rs + kk * dims.a_cs],
-                       pb[kk * dims.b_rs + j * dims.b_cs], acc);
-        }
-        c_row[j] = acc;
-      }
-    }
-  }
+  EMX_TRACE_SPAN("kernel.matmul", [&] {
+    return obs::KeyValues(
+        {{"m", dims.m}, {"n", dims.n}, {"k", dims.k}, {"batch", batch}});
+  });
+  RunGemm(dims, batch, a.data(), a_broadcast ? 0 : a.dim(-2) * a.dim(-1),
+          b.data(), b_broadcast ? 0 : b.dim(-2) * b.dim(-1), out.data(),
+          /*ep=*/nullptr);
+  return out;
+}
+
+Tensor MatMulBiasAct(const Tensor& x, const Tensor& w, const Tensor& bias,
+                     Act act, Tensor* pre_act) {
+  EMX_CHECK_GE(x.ndim(), 1);
+  EMX_CHECK_EQ(w.ndim(), 2);
+  EMX_CHECK_EQ(bias.ndim(), 1);
+  const int64_t k = w.dim(0);
+  const int64_t n = w.dim(1);
+  EMX_CHECK_EQ(x.dim(-1), k) << "MatMulBiasAct inner dim mismatch: "
+                             << ShapeToString(x.shape()) << " x "
+                             << ShapeToString(w.shape());
+  EMX_CHECK_EQ(bias.dim(0), n) << "MatMulBiasAct: bias size mismatch";
+  Shape out_shape(x.shape().begin(), x.shape().end() - 1);
+  const GemmShape dims{.m = NumElements(out_shape),
+                       .n = n,
+                       .k = k,
+                       .a_rs = k,
+                       .a_cs = 1,
+                       .b_rs = n,
+                       .b_cs = 1};
+  out_shape.push_back(n);
+  Tensor out(out_shape);
+  if (pre_act != nullptr) *pre_act = Tensor(out_shape);
+  EMX_TRACE_SPAN("kernel.matmul_bias_act", [&] {
+    return obs::KeyValues({{"m", dims.m},
+                           {"n", n},
+                           {"k", k},
+                           {"act", static_cast<int64_t>(act)}});
+  });
+  const Epilogue ep{bias.data(), act,
+                    pre_act == nullptr ? nullptr : pre_act->data()};
+  RunGemm(dims, /*batch=*/1, x.data(), 0, w.data(), 0, out.data(), &ep);
   return out;
 }
 

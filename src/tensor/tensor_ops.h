@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/kernel_math.h"
 #include "tensor/tensor.h"
 
 namespace emx {
@@ -48,6 +49,21 @@ Tensor GeluGrad(const Tensor& dy, const Tensor& x);
 /// dx = dy * (1 - tanh(x)^2) given y = tanh(x).
 Tensor TanhGradFromOutput(const Tensor& dy, const Tensor& y);
 
+// Tanh, Gelu, GeluGrad and Relu evaluate the scalar functions of
+// kernel_math.h (TanhApprox, Gelu, GeluDerivative, Relu), in loops GCC
+// vectorizes; MatMulBiasAct's epilogue and the int8 activation table use
+// the same functions, so all three agree bit for bit.
+
+/// act(x) elementwise. For Act::kNone it returns x itself (shared storage).
+Tensor Activate(const Tensor& x, Act act);
+
+/// Backward of act and bias in one pass: returns dz = dy * act'(u) for the
+/// pre-activation u ([..., N]) and writes sum over rows of dz to `dbias`
+/// ([N]). Rows are summed in fixed 64-row blocks, so dbias does not depend
+/// on the thread count. For Act::kNone, u is not read and dz is dy itself.
+Tensor ActGradWithBiasGrad(const Tensor& dy, const Tensor& u, Act act,
+                           Tensor* dbias);
+
 // ---- Linear algebra --------------------------------------------------
 
 /// Batched matrix multiply: a has shape [..., M, K] (or [K, M] when
@@ -55,16 +71,21 @@ Tensor TanhGradFromOutput(const Tensor& dy, const Tensor& y);
 /// batch dims must match exactly, or either operand may be rank-2 and is
 /// broadcast across the other's batch. Cache-blocked (MC/KC/NC tiling with
 /// packed panels) and parallelized across batch x row blocks; per-output
-/// accumulation is ascending-k, so results are bit-identical to
-/// MatMulNaive at any thread count.
+/// accumulation is a single ascending-k MulAdd chain from zero, so results
+/// are bit-identical to a naive triple loop at any thread count.
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 
-/// Single-threaded triple-loop reference GEMM with the same shape and
-/// broadcast rules as MatMul. Golden reference for tests and the baseline
-/// side of the kernel micro-benchmarks; do not use on hot paths.
-Tensor MatMulNaive(const Tensor& a, const Tensor& b, bool trans_a = false,
-                   bool trans_b = false);
+/// y = act(x @ w + bias): the affine map plus activation of a Linear layer,
+/// with x [..., K] (leading dims flattened to rows, no copy), w [K, N],
+/// bias [N] and y [..., N]. The blocked GEMM adds the bias and applies
+/// `act` to each output block right after its last K panel, while the
+/// block is still in cache. The bias is added after the whole ascending-k
+/// chain, so y is bit-identical to Activate(AddBias(MatMul(x, w), bias)).
+/// When `pre_act` is non-null it receives u = x @ w + bias, which the
+/// backward pass and int8 calibration need.
+Tensor MatMulBiasAct(const Tensor& x, const Tensor& w, const Tensor& bias,
+                     Act act, Tensor* pre_act = nullptr);
 
 /// Generic axis permutation (materializes the result).
 /// `perm` must be a permutation of [0, ndim).

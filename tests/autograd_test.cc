@@ -118,6 +118,37 @@ std::vector<GradCase> MakeGradCases() {
   cases.push_back({"tanh", {4, 4}, [](const Variable& x) {
                      return ag::MeanAll(ag::Tanh(x));
                    }});
+  {
+    // The fused Linear node, with a rank-3 input (rows from leading dims),
+    // differentiated w.r.t. each of x, w and b under every activation.
+    Tensor x_in = Tensor::Randn({2, 3, 5}, &rng, 0.7f);
+    Tensor w_in = Tensor::Randn({5, 4}, &rng, 0.5f);
+    Tensor b_in = Tensor::Randn({4}, &rng, 0.3f);
+    const std::pair<const char*, ops::Act> acts[] = {
+        {"none", ops::Act::kNone},
+        {"gelu", ops::Act::kGelu},
+        {"relu", ops::Act::kRelu},
+        {"tanh", ops::Act::kTanh}};
+    for (const auto& [act_name, act] : acts) {
+      const std::string name = std::string("linear_act_") + act_name;
+      auto loss = [](const Variable& y) { return ag::MeanAll(ag::Mul(y, y)); };
+      cases.push_back({name + "_x", {2, 3, 5}, [=](const Variable& x) {
+                         return loss(ag::LinearAct(x, Variable::Constant(w_in),
+                                                   Variable::Constant(b_in),
+                                                   act));
+                       }});
+      cases.push_back({name + "_w", {5, 4}, [=](const Variable& w) {
+                         return loss(ag::LinearAct(Variable::Constant(x_in), w,
+                                                   Variable::Constant(b_in),
+                                                   act));
+                       }});
+      cases.push_back({name + "_b", {4}, [=](const Variable& b) {
+                         return loss(ag::LinearAct(Variable::Constant(x_in),
+                                                   Variable::Constant(w_in), b,
+                                                   act));
+                       }});
+    }
+  }
   cases.push_back({"softmax", {3, 5}, [](const Variable& x) {
                      // Weighted sum to give softmax a non-trivial gradient.
                      Variable s = ag::Softmax(x);
@@ -429,6 +460,63 @@ TEST(EndToEndTest, TrainingReducesLoss) {
     for (int64_t i = 0; i < v.size(); ++i) v[i] -= 0.5f * g[i];
   }
   EXPECT_LT(last, first * 0.8f);
+}
+
+// ---- Fused Linear node --------------------------------------------------------
+
+TEST(LinearActTest, MatchesMatMulAddBiasActivationChain) {
+  // Forward values are bit-identical to the unfused chain; gradients match
+  // it up to the bias-gradient summation order.
+  Rng rng(31);
+  const Tensor x_in = Tensor::Randn({3, 70, 48}, &rng);
+  const Tensor w_in = Tensor::Randn({48, 37}, &rng, 0.3f);
+  const Tensor b_in = Tensor::Randn({37}, &rng, 0.3f);
+  const Tensor g_in = Tensor::Randn({3, 70, 37}, &rng);
+  const std::pair<ops::Act, std::function<Variable(const Variable&)>> acts[] = {
+      {ops::Act::kNone, [](const Variable& v) { return v; }},
+      {ops::Act::kGelu, ag::Gelu},
+      {ops::Act::kRelu, ag::Relu},
+      {ops::Act::kTanh, ag::Tanh}};
+  for (const auto& [act, chain_act] : acts) {
+    SCOPED_TRACE(testing::Message() << "act=" << static_cast<int>(act));
+    Variable x = Variable::Parameter(x_in.Clone());
+    Variable w = Variable::Parameter(w_in.Clone());
+    Variable b = Variable::Parameter(b_in.Clone());
+    Variable fused = ag::LinearAct(x, w, b, act);
+    Backward(ag::SumAll(ag::Mul(fused, Variable::Constant(g_in))));
+
+    Variable rx = Variable::Parameter(x_in.Clone());
+    Variable rw = Variable::Parameter(w_in.Clone());
+    Variable rb = Variable::Parameter(b_in.Clone());
+    Variable flat = ag::Reshape(rx, {-1, 48});
+    Variable chain = ag::Reshape(
+        chain_act(ag::AddBias(ag::MatMul(flat, rw), rb)), {3, 70, 37});
+    Backward(ag::SumAll(ag::Mul(chain, Variable::Constant(g_in))));
+
+    ASSERT_EQ(fused.value().shape(), chain.value().shape());
+    for (int64_t i = 0; i < fused.value().size(); ++i) {
+      ASSERT_EQ(fused.value()[i], chain.value()[i]) << "i=" << i;
+    }
+    // dx and dW run the same GEMMs on the same dz.
+    EXPECT_EQ(ops::MaxAbsDiff(x.grad(), rx.grad()), 0.0f);
+    EXPECT_EQ(ops::MaxAbsDiff(w.grad(), rw.grad()), 0.0f);
+    EXPECT_TRUE(ops::AllClose(b.grad(), rb.grad(), 1e-4f, 1e-5f));
+  }
+}
+
+TEST(LinearActTest, PreActivationOutputAndNoGradConstant) {
+  Rng rng(32);
+  const Tensor x_in = Tensor::Randn({9, 6}, &rng);
+  Variable w = Variable::Parameter(Tensor::Randn({6, 5}, &rng));
+  Variable b = Variable::Parameter(Tensor::Randn({5}, &rng));
+  NoGradGuard no_grad;
+  Tensor pre;
+  Variable y =
+      ag::LinearAct(Variable::Constant(x_in), w, b, ops::Act::kGelu, &pre);
+  EXPECT_FALSE(y.requires_grad());
+  const Tensor u = ops::AddBias(ops::MatMul(x_in, w.value()), b.value());
+  EXPECT_EQ(ops::MaxAbsDiff(pre, u), 0.0f);
+  EXPECT_EQ(ops::MaxAbsDiff(y.value(), ops::Gelu(u)), 0.0f);
 }
 
 // ---- Inference mode (GradMode / NoGradGuard) -------------------------------

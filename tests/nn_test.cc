@@ -135,6 +135,90 @@ TEST(FeedForwardTest, ActivationVariants) {
   EXPECT_GT(ge.value()[0], -0.1f);
 }
 
+TEST(FeedForwardTest, AdamRunTracksReferenceChain) {
+  // The fused block (bias + GELU in fc1's GEMM epilogue, one fused backward
+  // node per Linear) against the MatMul -> AddBias -> Gelu -> MatMul ->
+  // AddBias chain on copies of the same parameters, trained side by side.
+  // Forwards are bit-identical; only the bias gradients are summed in a
+  // different order, so the losses may drift apart by float rounding.
+  Rng rng(10);
+  FeedForward ffn(16, 64, &rng, Activation::kGelu, /*init_stddev=*/0.2f);
+  const Tensor x_in = Tensor::Randn({4, 9, 16}, &rng);
+  const Tensor target = Tensor::Randn({4, 9, 16}, &rng, 0.5f);
+  auto param = [](const Variable& v) {
+    return Variable::Parameter(v.value().Clone());
+  };
+  Variable w1 = param(ffn.fc1()->weight()), b1 = param(ffn.fc1()->bias());
+  Variable w2 = param(ffn.fc2()->weight()), b2 = param(ffn.fc2()->bias());
+
+  std::vector<NamedParam> fused_params;
+  ffn.CollectParameters("ffn", &fused_params);
+  std::vector<NamedParam> chain_params = {{"ffn.fc1.weight", w1},
+                                          {"ffn.fc1.bias", b1},
+                                          {"ffn.fc2.weight", w2},
+                                          {"ffn.fc2.bias", b2}};
+  AdamOptions options;
+  options.lr = 1e-2f;
+  Adam fused_opt(fused_params, options);
+  Adam chain_opt(chain_params, options);
+
+  const Variable x = Variable::Constant(x_in);
+  const Variable t = Variable::Constant(target);
+  auto mse = [&](const Variable& y) {
+    const Variable d = ag::Sub(y, t);
+    return ag::MeanAll(ag::Mul(d, d));
+  };
+  float first = 0.0f, last = 0.0f;
+  for (int step = 0; step < 25; ++step) {
+    fused_opt.ZeroGrad();
+    Variable fused_loss = mse(ffn.Forward(x, 0.0f, /*train=*/true, &rng));
+    Backward(fused_loss);
+    fused_opt.Step();
+
+    chain_opt.ZeroGrad();
+    Variable flat = ag::Reshape(x, {-1, 16});
+    Variable h = ag::Gelu(ag::AddBias(ag::MatMul(flat, w1), b1));
+    Variable y = ag::AddBias(ag::MatMul(h, w2), b2);
+    Variable chain_loss = mse(ag::Reshape(y, {4, 9, 16}));
+    Backward(chain_loss);
+    chain_opt.Step();
+
+    const float a = fused_loss.value()[0];
+    const float b = chain_loss.value()[0];
+    if (step == 0) {
+      EXPECT_EQ(a, b);  // same parameters, bit-identical forward
+      first = a;
+    }
+    EXPECT_NEAR(a, b, 1e-5f * b) << "step " << step;
+    last = a;
+  }
+  EXPECT_LT(last, 0.8f * first);
+}
+
+/// Records what a calibrating (not-ready) backend is shown.
+class RecordingBackend : public LinearBackend {
+ public:
+  void ObserveOutput(const Tensor& y2d) override { seen = y2d.Clone(); }
+  bool ready() const override { return false; }
+  Tensor Forward(const Tensor& x2d) const override { return x2d; }
+  Tensor seen;
+};
+
+TEST(FeedForwardTest, CalibratingFc1SeesPreActivation) {
+  Rng rng(11);
+  FeedForward ffn(8, 12, &rng, Activation::kGelu, /*init_stddev=*/0.5f);
+  auto recorder = std::make_shared<RecordingBackend>();
+  ffn.fc1()->set_backend(recorder);
+  const Tensor x = Tensor::Randn({2, 3, 8}, &rng);
+  NoGradGuard no_grad;
+  (void)ffn.Forward(Variable::Constant(x), 0.0f, false, &rng);
+  const Tensor pre = ops::AddBias(
+      ops::MatMul(x.Reshape({-1, 8}), ffn.fc1()->weight().value()),
+      ffn.fc1()->bias().value());
+  ASSERT_EQ(recorder->seen.shape(), pre.shape());
+  EXPECT_EQ(ops::MaxAbsDiff(recorder->seen, pre), 0.0f);
+}
+
 // ---- Attention -------------------------------------------------------------------
 
 TEST(AttentionTest, SelfAttentionShape) {

@@ -246,12 +246,19 @@ TEST(QuantizedLinearTest, PreservesLeadingDims) {
 // ---- Activation LUT / fused FFN ---------------------------------------------
 
 TEST(QuantizedFfnTest, ActivationScalarMatchesFp32Ops) {
-  Tensor x({7}, {-3.0f, -1.0f, -0.1f, 0.0f, 0.1f, 1.0f, 3.0f});
+  // The LUT's scalar activation and the vectorized fp32 ops share one
+  // definition (tensor/kernel_math.h): equal bit for bit, x = i * 1e-4
+  // over [-12, 12].
+  constexpr int64_t kHalf = 120000;
+  Tensor x({2 * kHalf + 1});
+  for (int64_t i = -kHalf; i <= kHalf; ++i) {
+    x[i + kHalf] = static_cast<float>(i) * 1e-4f;
+  }
   for (nn::Activation act :
        {nn::Activation::kGelu, nn::Activation::kRelu, nn::Activation::kTanh}) {
     Tensor ref = nn::ApplyActivation(Variable::Constant(x), act).value();
     for (int64_t i = 0; i < x.size(); ++i) {
-      EXPECT_NEAR(ActivationScalar(x[i], act), ref[i], 1e-6f)
+      ASSERT_EQ(ActivationScalar(x[i], act), ref[i])
           << "activation " << static_cast<int>(act) << " x=" << x[i];
     }
   }

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "reference_kernels.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace emx {
 namespace {
@@ -195,6 +200,78 @@ TEST(TensorOpsTest, GeluValues) {
   EXPECT_NEAR(y[2], 1.9546f, 1e-3);
 }
 
+// ---- Activation accuracy -----------------------------------------------------
+
+// The fp32 activations run the rational tanh of kernel_math.h; these pin
+// its error against the std::tanh formulas. The bounds hold with and
+// without FMA (measured maxima: tanh 3.0e-7 / 4.2e-7, GELU 9.6e-7 both,
+// GELU' 4.2e-6 / 5.9e-6).
+constexpr double kTanhBound = 5e-7;
+constexpr double kGeluBound = 1e-6;
+constexpr double kGeluGradBound = 1e-5;
+
+TEST(ActivationAccuracyTest, DenseSweepWithinStatedBounds) {
+  // x = i * 1e-5 over [-12, 12]: 2.4M points.
+  constexpr int64_t kHalf = 1200000;
+  Tensor x({2 * kHalf + 1});
+  for (int64_t i = -kHalf; i <= kHalf; ++i) {
+    x[i + kHalf] = static_cast<float>(i) * 1e-5f;
+  }
+  const Tensor tanh = ops::Tanh(x);
+  const Tensor gelu = ops::Gelu(x);
+  const Tensor dgelu = ops::GeluGrad(Tensor::Ones(x.shape()), x);
+  double max_tanh = 0, max_gelu = 0, max_dgelu = 0;
+  for (int64_t i = 0; i < x.size(); ++i) {
+    const float v = x[i];
+    max_tanh = std::max(max_tanh, std::fabs(double{tanh[i]} - std::tanh(v)));
+    max_gelu = std::max(
+        max_gelu, std::fabs(double{gelu[i]} - reference::GeluReference(v)));
+    max_dgelu = std::max(max_dgelu, std::fabs(double{dgelu[i]} -
+                                              reference::GeluGradReference(v)));
+    // The vectorized ops and the scalar functions (GEMM epilogue, int8
+    // activation table) agree bit for bit.
+    ASSERT_EQ(tanh[i], ops::TanhApprox(v)) << "x=" << v;
+    ASSERT_EQ(gelu[i], ops::Gelu(v)) << "x=" << v;
+    ASSERT_EQ(dgelu[i], ops::GeluDerivative(v)) << "x=" << v;
+  }
+  EXPECT_LE(max_tanh, kTanhBound);
+  EXPECT_LE(max_gelu, kGeluBound);
+  EXPECT_LE(max_dgelu, kGeluGradBound);
+}
+
+TEST(ActivationAccuracyTest, SpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x({7}, {0.0f, -0.0f, 1e4f, -1e4f, inf, -inf, nan});
+  const Tensor tanh = ops::Tanh(x);
+  const Tensor gelu = ops::Gelu(x);
+  const Tensor dgelu = ops::GeluGrad(Tensor::Ones(x.shape()), x);
+  auto check = [](float v, float got, float want, const char* what) {
+    SCOPED_TRACE(testing::Message() << what << "(" << v << ")");
+    if (std::isfinite(v)) {
+      // Finite in, finite out, and here exactly the reference value.
+      EXPECT_TRUE(std::isfinite(got)) << got;
+      EXPECT_EQ(got, want);
+    } else {
+      // NaN propagates; +-inf gives what the reference gives (NaN where it
+      // forms inf * 0).
+      EXPECT_EQ(std::isnan(got), std::isnan(want)) << got << " vs " << want;
+      if (!std::isnan(want)) {
+        EXPECT_EQ(got, want);
+      }
+    }
+  };
+  for (int64_t i = 0; i < x.size(); ++i) {
+    const float v = x[i];
+    check(v, tanh[i], std::tanh(v), "tanh");
+    check(v, gelu[i], reference::GeluReference(v), "gelu");
+    check(v, dgelu[i], reference::GeluGradReference(v), "gelu'");
+  }
+  EXPECT_TRUE(std::signbit(tanh[1]));  // tanh(-0) = -0
+  EXPECT_EQ(tanh[2], 1.0f);            // saturates exactly
+  EXPECT_EQ(tanh[3], -1.0f);
+}
+
 // ---- MatMul ----------------------------------------------------------------
 
 TEST(MatMulTest, Basic2D) {
@@ -291,7 +368,7 @@ TEST(MatMulGoldenTest, BlockedMatchesNaiveAllTransCombos) {
                      << "m=" << m << " k=" << k << " n=" << n
                      << " trans_a=" << trans_a << " trans_b=" << trans_b);
         ExpectBitIdentical(ops::MatMul(a, b, trans_a, trans_b),
-                           ops::MatMulNaive(a, b, trans_a, trans_b));
+                           reference::MatMulNaive(a, b, trans_a, trans_b));
       }
     }
   }
@@ -301,10 +378,10 @@ TEST(MatMulGoldenTest, BatchedMatchesNaive) {
   Rng rng(43);
   Tensor a = Tensor::Randn({5, 23, 31}, &rng);
   Tensor b = Tensor::Randn({5, 31, 19}, &rng);
-  ExpectBitIdentical(ops::MatMul(a, b), ops::MatMulNaive(a, b));
+  ExpectBitIdentical(ops::MatMul(a, b), reference::MatMulNaive(a, b));
   Tensor bt = Tensor::Randn({5, 19, 31}, &rng);
   ExpectBitIdentical(ops::MatMul(a, bt, false, true),
-                     ops::MatMulNaive(a, bt, false, true));
+                     reference::MatMulNaive(a, bt, false, true));
 }
 
 TEST(MatMulGoldenTest, BroadcastMatchesNaive) {
@@ -312,10 +389,73 @@ TEST(MatMulGoldenTest, BroadcastMatchesNaive) {
   // Rank-2 rhs broadcast across lhs batch, and the reverse.
   Tensor a = Tensor::Randn({4, 3, 37, 41}, &rng);
   Tensor w = Tensor::Randn({41, 13}, &rng);
-  ExpectBitIdentical(ops::MatMul(a, w), ops::MatMulNaive(a, w));
+  ExpectBitIdentical(ops::MatMul(a, w), reference::MatMulNaive(a, w));
   Tensor lhs = Tensor::Randn({9, 41}, &rng);
   Tensor rhs = Tensor::Randn({6, 41, 11}, &rng);
-  ExpectBitIdentical(ops::MatMul(lhs, rhs), ops::MatMulNaive(lhs, rhs));
+  ExpectBitIdentical(ops::MatMul(lhs, rhs), reference::MatMulNaive(lhs, rhs));
+}
+
+// ---- Fused bias + activation epilogue ---------------------------------------
+
+/// Runs `fn` on a worker of the global pool. A ParallelFor issued from a
+/// pool worker runs its whole range inline, so this is the one-thread path
+/// of every kernel `fn` calls.
+void RunOnPoolWorker(const std::function<void()>& fn) {
+  GlobalThreadPool()->Submit(fn);
+  GlobalThreadPool()->Wait();
+}
+
+constexpr ops::Act kAllActs[] = {ops::Act::kNone, ops::Act::kGelu,
+                                 ops::Act::kRelu, ops::Act::kTanh};
+
+TEST(MatMulBiasActTest, BitIdenticalToUnfusedChainEveryAct) {
+  ASSERT_GE(GlobalThreadPool()->num_threads(), 4u);
+  Rng rng(45);
+  // (m, k, n): m % 4 != 0 and n % 16 != 0 reach the edge micro-kernel;
+  // k > 256 spans several KC panels, so the epilogue must wait for the
+  // last one; n > 128 spans two NC panels; m > 64 splits rows across
+  // workers; k == 0 leaves the epilogue alone on a zero product.
+  const int64_t sizes[][3] = {{1, 1, 1},     {7, 13, 17},   {67, 300, 37},
+                              {130, 257, 130}, {5, 513, 19}, {6, 0, 5}};
+  for (const auto& s : sizes) {
+    const int64_t m = s[0], k = s[1], n = s[2];
+    const Tensor x = Tensor::Randn({m, k}, &rng);
+    const Tensor w = Tensor::Randn({k, n}, &rng, 0.2f);
+    const Tensor b = Tensor::Randn({n}, &rng);
+    const Tensor u = ops::AddBias(ops::MatMul(x, w), b);
+    for (const ops::Act act : kAllActs) {
+      const Tensor want = ops::Activate(u, act);
+      for (const bool one_thread : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << m << " k=" << k << " n=" << n
+                     << " act=" << static_cast<int>(act)
+                     << " one_thread=" << one_thread);
+        Tensor got, got_pre, pre;
+        auto run = [&] {
+          got = ops::MatMulBiasAct(x, w, b, act);
+          got_pre = ops::MatMulBiasAct(x, w, b, act, &pre);
+        };
+        if (one_thread) {
+          RunOnPoolWorker(run);
+        } else {
+          run();
+        }
+        ExpectBitIdentical(got, want);
+        ExpectBitIdentical(got_pre, want);
+        ExpectBitIdentical(pre, u);
+      }
+    }
+  }
+}
+
+TEST(MatMulBiasActTest, LeadingDimsAreRows) {
+  Rng rng(46);
+  const Tensor x = Tensor::Randn({3, 7, 300}, &rng);
+  const Tensor w = Tensor::Randn({300, 21}, &rng, 0.1f);
+  const Tensor b = Tensor::Randn({21}, &rng);
+  const Tensor y = ops::MatMulBiasAct(x, w, b, ops::Act::kGelu);
+  EXPECT_EQ(y.shape(), (Shape{3, 7, 21}));
+  ExpectBitIdentical(y, ops::Gelu(ops::AddBias(ops::MatMul(x, w), b)));
 }
 
 // ---- Permute / reshape ------------------------------------------------------
