@@ -98,8 +98,8 @@ Inputs MakeInputs(const ShapeCase& s, bool requires_grad, Rng* rng) {
 }
 
 /// The exact unfused chain FusedAttention replaces, including head
-/// split/merge (mirrors MultiHeadAttention::ForwardReference minus the
-/// projections).
+/// split/merge (mirrors reference::AttentionReference in the tests minus
+/// the projections).
 Variable ReferenceCore(const Inputs& in, const ShapeCase& s, float dropout_p,
                        bool train, Rng* rng) {
   const int64_t hidden = s.heads * s.head_dim;

@@ -6,8 +6,8 @@
 //   1. Cold start — time from opening the checkpoint(s) to the first
 //      int8 match probability. Parse-on-load (EMXP fp32 parse + EMXQ
 //      int8 parse + repack + derived-state recompute) vs one EMXM1
-//      container (fp32 memcpy from the mapping, packed int8 weights and
-//      their col_sums served zero-copy from the mapped pages).
+//      container (fp32 parameters, packed int8 weights and their col_sums
+//      all served zero-copy from the mapped pages).
 //      GATE: mmap open-to-first-inference >= 10x faster (>= 1.5x in
 //      --smoke, where the model is small enough that the shared first
 //      forward dominates both paths).

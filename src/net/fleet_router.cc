@@ -8,7 +8,6 @@
 #include "net/socket.h"
 #include "obs/json.h"
 #include "obs/trace.h"
-#include "serve/serving_metrics.h"
 
 namespace emx {
 namespace net {
@@ -298,11 +297,7 @@ FleetRouter::FleetRouter(const RouterOptions& options)
       hedge_wins_(registry_.GetCounter("router.hedge_wins")),
       hedge_wasted_(registry_.GetCounter("router.hedge_wasted")),
       deadline_exceeded_(registry_.GetCounter("router.deadline_exceeded")),
-      shard_errors_(registry_.GetCounter("router.shard_errors")),
-      latencies_(new std::atomic<double>[kLatencyWindow]) {
-  for (size_t i = 0; i < kLatencyWindow; ++i) {
-    latencies_[i].store(0, std::memory_order_relaxed);
-  }
+      shard_errors_(registry_.GetCounter("router.shard_errors")) {
   monitor_ = std::thread(&FleetRouter::MonitorLoop, this);
 }
 
@@ -517,11 +512,7 @@ void FleetRouter::Complete(const std::shared_ptr<Outstanding>& out,
     hedge_wins_->Add();
     obs::TraceInstant("net.hedge_win");
   }
-  if (result.status.ok()) {
-    const uint64_t slot =
-        latency_ops_.fetch_add(1, std::memory_order_relaxed) % kLatencyWindow;
-    latencies_[slot].store(result.total_us, std::memory_order_relaxed);
-  }
+  if (result.status.ok()) latencies_.Record(result.total_us);
   {
     std::lock_guard<std::mutex> lock(mu_);
     outstanding_.erase(out->id);
@@ -530,15 +521,8 @@ void FleetRouter::Complete(const std::shared_ptr<Outstanding>& out,
 }
 
 double FleetRouter::HedgeThresholdUs() const {
-  const uint64_t ops = latency_ops_.load(std::memory_order_relaxed);
-  const size_t n = static_cast<size_t>(
-      std::min<uint64_t>(ops, kLatencyWindow));
-  std::vector<double> window(n);
-  for (size_t i = 0; i < n; ++i) {
-    window[i] = latencies_[i].load(std::memory_order_relaxed);
-  }
-  std::sort(window.begin(), window.end());
-  const double pq = serve::Percentile(window, options_.hedge_quantile);
+  const double pq =
+      obs::Percentile(latencies_.Sorted(), options_.hedge_quantile);
   return std::max(static_cast<double>(options_.hedge_min_us), pq);
 }
 
@@ -583,17 +567,7 @@ void FleetRouter::MonitorLoop() {
 }
 
 std::string FleetRouter::FleetSnapshotJson() {
-  std::vector<double> window;
-  {
-    const uint64_t ops = latency_ops_.load(std::memory_order_relaxed);
-    const size_t n = static_cast<size_t>(
-        std::min<uint64_t>(ops, kLatencyWindow));
-    window.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      window[i] = latencies_[i].load(std::memory_order_relaxed);
-    }
-    std::sort(window.begin(), window.end());
-  }
+  const std::vector<double> window = latencies_.Sorted();
 
   std::string out = "{\"router\": {\"policy\": ";
   obs::AppendJsonString(&out,
@@ -615,11 +589,11 @@ std::string FleetRouter::FleetSnapshotJson() {
   out += ", \"hedge_threshold_us\": ";
   obs::AppendJsonDouble(&out, HedgeThresholdUs());
   out += ", \"p50_us\": ";
-  obs::AppendJsonDouble(&out, serve::Percentile(window, 0.50));
+  obs::AppendJsonDouble(&out, obs::Percentile(window, 0.50));
   out += ", \"p95_us\": ";
-  obs::AppendJsonDouble(&out, serve::Percentile(window, 0.95));
+  obs::AppendJsonDouble(&out, obs::Percentile(window, 0.95));
   out += ", \"p99_us\": ";
-  obs::AppendJsonDouble(&out, serve::Percentile(window, 0.99));
+  obs::AppendJsonDouble(&out, obs::Percentile(window, 0.99));
   out += "}, \"shards\": [";
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (s > 0) out += ", ";

@@ -183,11 +183,9 @@ class FleetRouter {
   mutable std::mutex mu_;  // outstanding_ + ring_ rebuilds
   std::unordered_map<uint64_t, std::shared_ptr<Outstanding>> outstanding_;
 
-  /// Completion-latency window feeding the hedge threshold. Lock-free ring
-  /// (same idiom as serve::ServingMetrics).
+  /// Completion-latency window feeding the hedge threshold.
   static constexpr size_t kLatencyWindow = 2048;
-  std::unique_ptr<std::atomic<double>[]> latencies_;
-  std::atomic<uint64_t> latency_ops_{0};
+  obs::LatencyWindow latencies_{kLatencyWindow};
 
   std::atomic<bool> shutdown_{false};
   std::thread monitor_;

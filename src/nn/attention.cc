@@ -1,7 +1,5 @@
 #include "nn/attention.h"
 
-#include <cmath>
-
 #include "tensor/autograd_ops.h"
 #include "util/logging.h"
 
@@ -9,13 +7,6 @@ namespace emx {
 namespace nn {
 
 namespace ag = autograd;
-
-Variable FusedAttentionBackend::Forward(const Variable& q, const Variable& k,
-                                        const Variable& v, const Tensor& mask,
-                                        int64_t num_heads, float dropout_p,
-                                        bool train, Rng* rng) const {
-  return ag::FusedAttention(q, k, v, mask, num_heads, dropout_p, train, rng);
-}
 
 MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t num_heads,
                                        Rng* rng, float init_stddev)
@@ -25,60 +16,20 @@ MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t num_heads,
       wq_(hidden, hidden, rng, init_stddev),
       wk_(hidden, hidden, rng, init_stddev),
       wv_(hidden, hidden, rng, init_stddev),
-      wo_(hidden, hidden, rng, init_stddev),
-      backend_(std::make_shared<FusedAttentionBackend>()) {
+      wo_(hidden, hidden, rng, init_stddev) {
   EMX_CHECK_EQ(head_dim_ * num_heads_, hidden_)
       << "hidden must be divisible by num_heads";
-}
-
-Variable MultiHeadAttention::SplitHeads(const Variable& x) const {
-  const int64_t b = x.dim(0);
-  const int64_t t = x.dim(1);
-  Variable r = ag::Reshape(x, {b, t, num_heads_, head_dim_});
-  return ag::Permute(r, {0, 2, 1, 3});  // [B, heads, T, dh]
-}
-
-Variable MultiHeadAttention::MergeHeads(const Variable& x) const {
-  const int64_t b = x.dim(0);
-  const int64_t t = x.dim(2);
-  // Fused [B, heads, T, dh] -> [B, T, heads, dh] -> [B, T, H]: one
-  // materialization instead of the old Permute copy + Reshape clone.
-  return ag::PermuteReshape(x, {0, 2, 1, 3}, {b, t, hidden_});
 }
 
 Variable MultiHeadAttention::Forward(const Variable& query, const Variable& kv,
                                      const Tensor& mask, float dropout_p,
                                      bool train, Rng* rng) const {
-  if (backend_ == nullptr) {
-    return ForwardReference(query, kv, mask, dropout_p, train, rng);
-  }
   Variable q = wq_.Forward(query);  // [B, Tq, H], heads interleaved
   Variable k = wk_.Forward(kv);     // [B, Tk, H]
   Variable v = wv_.Forward(kv);     // [B, Tk, H]
   Variable context =
-      backend_->Forward(q, k, v, mask, num_heads_, dropout_p, train, rng);
+      ag::FusedAttention(q, k, v, mask, num_heads_, dropout_p, train, rng);
   return wo_.Forward(context);
-}
-
-Variable MultiHeadAttention::ForwardReference(const Variable& query,
-                                              const Variable& kv,
-                                              const Tensor& mask,
-                                              float dropout_p, bool train,
-                                              Rng* rng) const {
-  Variable q = SplitHeads(wq_.Forward(query));  // [B, h, Tq, dh]
-  Variable k = SplitHeads(wk_.Forward(kv));     // [B, h, Tk, dh]
-  Variable v = SplitHeads(wv_.Forward(kv));     // [B, h, Tk, dh]
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  Variable scores =
-      ag::MulScalar(ag::MatMul(q, k, false, true), scale);  // [B, h, Tq, Tk]
-
-  Variable probs = mask.size() > 0 ? ag::MaskedSoftmax(scores, mask)
-                                   : ag::Softmax(scores);
-  probs = ag::Dropout(probs, dropout_p, train, rng);
-
-  Variable context = ag::MatMul(probs, v);  // [B, h, Tq, dh]
-  return wo_.Forward(MergeHeads(context));
 }
 
 void MultiHeadAttention::CollectParameters(const std::string& prefix,

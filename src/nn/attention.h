@@ -2,7 +2,6 @@
 #define EMX_NN_ATTENTION_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,39 +12,6 @@
 
 namespace emx {
 namespace nn {
-
-/// Alternative implementation of the attention core — everything between
-/// the input projections and the output projection — attachable to a
-/// MultiHeadAttention (mirroring LinearBackend). The backend receives the
-/// projected q/k/v in their natural [B, T, H] layout with heads interleaved
-/// in the last dimension and returns the merged context [B, Tq, H], so an
-/// implementation can fold head split/merge into its kernel. It must be
-/// differentiable (participate in the tape when GradMode is enabled) and
-/// safe for concurrent calls (serving workers share the layer).
-class AttentionBackend {
- public:
-  virtual ~AttentionBackend() = default;
-
-  /// q: [B, Tq, H]; k, v: [B, Tk, H]; mask as for MultiHeadAttention::
-  /// Forward. Returns [B, Tq, H].
-  virtual Variable Forward(const Variable& q, const Variable& k,
-                           const Variable& v, const Tensor& mask,
-                           int64_t num_heads, float dropout_p, bool train,
-                           Rng* rng) const = 0;
-};
-
-/// The default backend: the tiled online-softmax kernel behind
-/// autograd::FusedAttention. Forward logits are bit-identical to the
-/// reference chain; with dropout enabled it draws one rng value per call
-/// and derives the mask from a counter-based hash instead of consuming one
-/// Bernoulli per prob element, so training RNG streams differ from the
-/// reference path (semantics are identical).
-class FusedAttentionBackend : public AttentionBackend {
- public:
-  Variable Forward(const Variable& q, const Variable& k, const Variable& v,
-                   const Tensor& mask, int64_t num_heads, float dropout_p,
-                   bool train, Rng* rng) const override;
-};
 
 /// Scaled dot-product multi-head attention with separate query and
 /// key/value inputs (self-attention passes the same tensor for both; the
@@ -61,33 +27,17 @@ class MultiHeadAttention : public Module {
                      float init_stddev = 0.02f);
 
   /// query: [B, Tq, H]; kv: [B, Tk, H]; mask as described above (may be an
-  /// empty tensor for no masking). Returns [B, Tq, H]. Routes the attention
-  /// core through the attached backend (fused, by default); with no backend
-  /// it falls back to ForwardReference.
+  /// empty tensor for no masking). Returns [B, Tq, H]. The attention core
+  /// between the projections is autograd::FusedAttention, which takes the
+  /// projected q/k/v with heads interleaved in the last dimension and folds
+  /// head split/merge into its kernel. Its logits are bit-identical to the
+  /// unfused MatMul -> MaskedSoftmax -> MatMul chain; with dropout on it
+  /// draws one rng value per call and derives the mask from a counter-based
+  /// hash, so training RNG streams differ from that chain's (semantics are
+  /// identical).
   Variable Forward(const Variable& query, const Variable& kv,
                    const Tensor& mask, float dropout_p, bool train,
                    Rng* rng) const;
-
-  /// The unfused autograd chain (MatMul -> MulScalar -> MaskedSoftmax ->
-  /// Dropout -> MatMul over split heads). Kept as the golden reference the
-  /// fused kernel is tested bit-identical against, and as the fallback when
-  /// no backend is attached.
-  Variable ForwardReference(const Variable& query, const Variable& kv,
-                            const Tensor& mask, float dropout_p, bool train,
-                            Rng* rng) const;
-
-  /// Attaches (or clears, with nullptr) an attention-core backend.
-  void set_backend(std::shared_ptr<AttentionBackend> backend) {
-    backend_ = std::move(backend);
-  }
-  const std::shared_ptr<AttentionBackend>& backend() const {
-    return backend_;
-  }
-
-  /// Splits [B, T, H] into [B, heads, T, H/heads].
-  Variable SplitHeads(const Variable& x) const;
-  /// Merges [B, heads, T, H/heads] back into [B, T, H].
-  Variable MergeHeads(const Variable& x) const;
 
   void CollectParameters(const std::string& prefix,
                          std::vector<NamedParam>* out) override;
@@ -110,7 +60,6 @@ class MultiHeadAttention : public Module {
   Linear wk_;
   Linear wv_;
   Linear wo_;
-  std::shared_ptr<AttentionBackend> backend_;  // null = reference chain
 };
 
 /// One post-LayerNorm transformer encoder layer (BERT ordering):

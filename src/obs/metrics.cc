@@ -127,5 +127,43 @@ std::string MetricsRegistry::ToJson() const {
   return out;
 }
 
+double Percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  if (sorted.size() == 1) return sorted[0];
+  q = std::min(std::max(q, 0.0), 1.0);
+  // Linear interpolation between the two closest ranks. The previous
+  // nearest-rank + 0.5 rounding jumped straight to the upper sample — for
+  // a 2-element buffer, p50 returned the max.
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+}
+
+LatencyWindow::LatencyWindow(size_t capacity)
+    : capacity_(capacity),
+      slots_(std::make_unique<std::atomic<double>[]>(capacity)) {
+  for (size_t i = 0; i < capacity_; ++i) {
+    slots_[i].store(0, std::memory_order_relaxed);
+  }
+}
+
+void LatencyWindow::Record(double sample) {
+  const uint64_t k = recorded_.fetch_add(1, std::memory_order_relaxed);
+  slots_[k % capacity_].store(sample, std::memory_order_relaxed);
+}
+
+std::vector<double> LatencyWindow::Sorted() const {
+  const size_t n = static_cast<size_t>(std::min<uint64_t>(
+      recorded_.load(std::memory_order_relaxed), capacity_));
+  std::vector<double> window(n);
+  for (size_t i = 0; i < n; ++i) {
+    window[i] = slots_[i].load(std::memory_order_relaxed);
+  }
+  std::sort(window.begin(), window.end());
+  return window;
+}
+
 }  // namespace obs
 }  // namespace emx

@@ -82,6 +82,31 @@ std::vector<double> LinearBuckets(double start, double width, int count);
 /// bounds {start, start*factor, start*factor^2, ...} — latency-style decades.
 std::vector<double> ExponentialBuckets(double start, double factor, int count);
 
+/// Linearly interpolated percentile over an ascending-sorted sample
+/// (q in [0, 1], clamped). Empty input returns 0.
+double Percentile(const std::vector<double>& sorted, double q);
+
+/// The most recent `capacity` samples of a latency stream, for percentiles
+/// (which need raw samples, not fixed buckets). Lock-free: Record claims a
+/// slot with one relaxed fetch_add and stores with one relaxed atomic
+/// store, so a writer is never blocked by a reader copying the window. A
+/// reader racing a writer sees the old or the new sample for that slot;
+/// both are recent samples, which is all a sliding window promises.
+class LatencyWindow {
+ public:
+  explicit LatencyWindow(size_t capacity);
+
+  void Record(double sample);
+  /// The current window (min(recorded, capacity) samples), ascending.
+  std::vector<double> Sorted() const;
+
+ private:
+  const size_t capacity_;
+  /// The k-th sample lands in slot k % capacity_.
+  std::unique_ptr<std::atomic<double>[]> slots_;
+  std::atomic<uint64_t> recorded_{0};
+};
+
 /// A named collection of metrics. Lookups register on first use and return
 /// stable pointers that remain valid for the registry's lifetime, so hot
 /// paths resolve a metric once and then touch only its atomics.

@@ -29,14 +29,17 @@ struct ModelFileInfo {
 /// rename), so a watcher seeing the file change always sees it whole.
 Status SaveModelFile(core::EntityMatcher* matcher, const std::string& path);
 
-/// Opens an EMXM container by mmap and loads it into the matcher: fp32
-/// parameters are copied into the existing Variables (they are training
-/// state and must stay mutable), while int8 packed weights are served
-/// zero-copy — the attached backends alias the read-only mapping and keep
-/// it alive, so cold-start cost is O(metadata), not O(model bytes), and
-/// replicas mapping the same file share one physical copy of the weights.
-/// The container's architecture manifest must match the matcher. On any
-/// error the matcher is left untouched.
+/// Opens an EMXM container by mmap and loads it into the matcher, zero-copy
+/// throughout: each fp32 parameter becomes a read-only Tensor::FromExternal
+/// view of its mapped payload (nn::LoadParametersMapped), and the attached
+/// int8 backends alias the packed weights in the same mapping. Both keep
+/// the mapping alive, so cold-start cost is O(metadata), not O(model
+/// bytes), and replicas mapping the same file share one physical copy of
+/// the weights. The matcher is read-only afterwards: the mapping is
+/// PROT_READ, so fine-tuning or re-quantizing it is undefined behavior
+/// (load with EntityMatcher::Load for mutable parameters). The container's
+/// architecture manifest must match the matcher. On any error the matcher
+/// is left untouched.
 Result<ModelFileInfo> LoadModelFileMapped(core::EntityMatcher* matcher,
                                           const std::string& path);
 

@@ -133,12 +133,12 @@ MatcherEngine::MatcherEngine(core::EntityMatcher* matcher,
                              const EngineOptions& options)
     : matcher_(matcher),
       options_(options),
-      cache_(&matcher->tokenizer(), options.cache_capacity,
-             options.max_seq_len),
       metrics_(options.max_batch_size),
-      entity_tokens_(&matcher->tokenizer(), options.cache_capacity),
+      tokens_(options.cache_capacity, Budget::kEntries,
+              /*evictions=*/nullptr,
+              metrics_.registry()->GetGauge("serve.token_cache.bytes")),
       prefix_cache_(
-          options.activation_cache_bytes,
+          options.activation_cache_bytes, Budget::kBytes,
           metrics_.registry()->GetCounter("serve.prefix_cache.evictions"),
           metrics_.registry()->GetGauge("serve.prefix_cache.bytes")),
       paused_(options.start_paused) {
@@ -188,15 +188,18 @@ std::future<MatchResult> MatcherEngine::Submit(std::string text_a,
 std::future<MatchResult> MatcherEngine::Submit(std::string text_a,
                                                std::string text_b,
                                                int64_t timeout_us) {
-  if (split_enabled()) {
-    // Every request takes the split path when it is enabled, so batches
-    // stay homogeneous. The query side is tokenized through the entity
-    // cache (hot queries converge with PinQuery's behavior).
-    auto state = std::make_shared<PinnedQuery::State>();
-    state->text = std::move(text_a);
-    if (!ShutdownSeen()) state->ids = *entity_tokens_.Get(state->text);
-    return SubmitSplit(std::move(state), text_b, timeout_us);
-  }
+  return SubmitPair(text_a, nullptr, text_b, timeout_us);
+}
+
+std::shared_ptr<const std::vector<int64_t>> MatcherEngine::Tokens(
+    std::string_view text, bool* hit) {
+  return tokens_.GetOrCompute(
+      text, [&] { return matcher_->tokenizer().Encode(text); }, hit);
+}
+
+std::future<MatchResult> MatcherEngine::SubmitPair(
+    std::string_view text_a, const std::vector<int64_t>* pinned_a,
+    std::string_view text_b, int64_t timeout_us) {
   Request req;
   req.enqueued = Clock::now();
   req.deadline = timeout_us > 0
@@ -204,29 +207,42 @@ std::future<MatchResult> MatcherEngine::Submit(std::string text_a,
                      : Clock::time_point::max();
   std::future<MatchResult> fut = req.promise.get_future();
 
-  {
-    // Fail fast before paying for tokenization.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      MatchResult r;
-      r.status = Status::Unavailable("engine is shut down");
-      req.promise.set_value(std::move(r));
-      return fut;
-    }
+  if (ShutdownSeen()) {
+    // Fail fast before paying for tokenization / prefix encoding.
+    MatchResult r;
+    r.status = Status::Unavailable("engine is shut down");
+    req.promise.set_value(std::move(r));
+    return fut;
   }
 
-  bool hit = false;
   {
     EMX_TRACE_SPAN("serve.tokenize");
-    req.enc = cache_.Get(text_a, text_b, &hit);
+    bool hit_a = true;
+    bool hit_b = false;
+    req.a = pinned_a != nullptr ? *pinned_a : *Tokens(text_a, &hit_a);
+    req.b = *Tokens(text_b, &hit_b);
+    req.cache_hit = hit_a && hit_b;
   }
-  req.cache_hit = hit;
-  metrics_.RecordCacheLookup(hit);
-  metrics_.RecordTokenCacheBytes(cache_.resident_bytes() +
-                                 entity_tokens_.resident_bytes());
+  metrics_.RecordCacheLookup(req.cache_hit);
+  // Longest-first truncation over the raw entity tokens, then (pair path,
+  // in RunBatch) Tokenizer::AssemblePair: the two steps EncodePair runs
+  // after tokenizing, so both paths see EncodePair's exact layout.
+  tokenizers::TruncatePair(&req.a, &req.b, options_.max_seq_len - 3);
+
+  // One snapshot covers both prefixes and the upper-layer forward, so a
+  // swap landing mid-submit cannot feed version-N prefixes into version-
+  // N+1 cross-attention layers.
   req.model = CurrentModel();
+  if (split_enabled()) {
+    req.prefix_q = PrefixFor(*req.model, text_a, req.a, /*query_side=*/true,
+                             /*position_offset=*/0, &req.prefix_hit_q);
+    req.prefix_c = PrefixFor(
+        *req.model, text_b, req.b, /*query_side=*/false,
+        /*position_offset=*/static_cast<int64_t>(req.a.size()) + 2,
+        &req.prefix_hit_c);
+  }
   req.bucket =
-      std::max<int64_t>(1, (req.enc.length + options_.bucket_width - 1) /
+      std::max<int64_t>(1, (req.length() + options_.bucket_width - 1) /
                                options_.bucket_width) +
       static_cast<int64_t>(req.model->version) * kVersionBucketStride;
   EnqueueOrReject(std::move(req));
@@ -271,9 +287,9 @@ MatchResult MatcherEngine::Match(std::string text_a, std::string text_b) {
 PinnedQuery MatcherEngine::PinQuery(std::string text) {
   auto state = std::make_shared<PinnedQuery::State>();
   state->text = std::move(text);
-  if (split_enabled()) {
+  {
     EMX_TRACE_SPAN("serve.tokenize");
-    state->ids = *entity_tokens_.Get(state->text);
+    state->ids = *Tokens(state->text, nullptr);
   }
   PinnedQuery pinned;
   pinned.state_ = std::move(state);
@@ -291,68 +307,8 @@ std::future<MatchResult> MatcherEngine::SubmitAgainst(const PinnedQuery& query,
                                                       int64_t timeout_us) {
   EMX_CHECK(query.valid()) << "SubmitAgainst needs a PinnedQuery from "
                               "PinQuery, not a default-constructed one";
-  if (!split_enabled()) {
-    return Submit(query.state_->text, std::move(candidate), timeout_us);
-  }
-  return SubmitSplit(query.state_, candidate, timeout_us);
-}
-
-std::future<MatchResult> MatcherEngine::SubmitSplit(
-    const std::shared_ptr<const PinnedQuery::State>& query,
-    std::string_view candidate, int64_t timeout_us) {
-  Request req;
-  req.enqueued = Clock::now();
-  req.deadline = timeout_us > 0
-                     ? req.enqueued + std::chrono::microseconds(timeout_us)
-                     : Clock::time_point::max();
-  std::future<MatchResult> fut = req.promise.get_future();
-
-  {
-    // Fail fast before paying for tokenization / prefix encoding.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      MatchResult r;
-      r.status = Status::Unavailable("engine is shut down");
-      req.promise.set_value(std::move(r));
-      return fut;
-    }
-  }
-
-  bool tok_hit = false;
-  std::shared_ptr<const std::vector<int64_t>> c_ids;
-  {
-    EMX_TRACE_SPAN("serve.tokenize");
-    c_ids = entity_tokens_.Get(candidate, &tok_hit);
-  }
-  req.cache_hit = tok_hit;
-  metrics_.RecordCacheLookup(tok_hit);
-  metrics_.RecordTokenCacheBytes(cache_.resident_bytes() +
-                                 entity_tokens_.resident_bytes());
-
-  // Longest-first truncation over the raw entity tokens — the exact
-  // discipline EncodePair applies, so the concatenated layout (and with it
-  // the k = 0 logits) matches the pair path token for token.
-  std::vector<int64_t> a = query->ids;
-  std::vector<int64_t> b = *c_ids;
-  tokenizers::TruncatePair(&a, &b, options_.max_seq_len - 3);
-  req.len_q = static_cast<int64_t>(a.size()) + 2;  // [CLS] a [SEP]
-  req.len_c = static_cast<int64_t>(b.size()) + 1;  // b [SEP]
-
-  // One snapshot covers both prefixes and the upper-layer forward, so a
-  // swap landing mid-submit cannot feed version-N prefixes into version-
-  // N+1 cross-attention layers.
-  req.model = CurrentModel();
-  req.prefix_q = PrefixFor(*req.model, query->text, a, /*query_side=*/true,
-                           /*position_offset=*/0, &req.prefix_hit_q);
-  req.prefix_c = PrefixFor(*req.model, candidate, b, /*query_side=*/false,
-                           /*position_offset=*/req.len_q, &req.prefix_hit_c);
-
-  req.bucket =
-      std::max<int64_t>(1, (req.len_q + req.len_c + options_.bucket_width - 1) /
-                               options_.bucket_width) +
-      static_cast<int64_t>(req.model->version) * kVersionBucketStride;
-  EnqueueOrReject(std::move(req));
-  return fut;
+  return SubmitPair(query.state_->text, &query.state_->ids, candidate,
+                    timeout_us);
 }
 
 std::shared_ptr<const Tensor> MatcherEngine::PrefixFor(
@@ -380,41 +336,38 @@ std::shared_ptr<const Tensor> MatcherEngine::PrefixFor(
     key += std::to_string(position_offset);
   }
 
-  std::shared_ptr<const Tensor> cached = prefix_cache_.Get(key);
-  const bool was_hit = cached != nullptr;
+  bool was_hit = false;
+  std::shared_ptr<const Tensor> prefix = prefix_cache_.GetOrCompute(
+      key,
+      [&] {
+        EMX_TRACE_SPAN("serve.prefix_encode", [&] {
+          return obs::KeyValues(
+              {{"tokens", static_cast<int64_t>(ids.size())},
+               {"query_side", query_side ? int64_t{1} : int64_t{0}}});
+        });
+        const auto& specials = model.matcher->tokenizer().specials();
+        models::Batch seg;
+        seg.batch_size = 1;
+        if (query_side) seg.ids.push_back(specials.cls);
+        seg.ids.insert(seg.ids.end(), ids.begin(), ids.end());
+        seg.ids.push_back(specials.sep);
+        seg.seq_len = static_cast<int64_t>(seg.ids.size());
+        seg.segment_ids.assign(seg.ids.size(), query_side ? 0 : 1);
+        // No mask: the segment has no padding, and segment-locality is
+        // implied by encoding it alone.
+        NoGradGuard no_grad;
+        nn::QuantModeGuard quant(options_.precision == Precision::kInt8);
+        Rng rng(0);  // never drawn: the prefix forward runs dropout-free
+        return model.matcher->classifier()
+            ->backbone()
+            ->EncodeSegmentPrefix(seg, options_.split_layer, position_offset,
+                                  &rng)
+            .value();
+      },
+      &was_hit);
   if (hit != nullptr) *hit = was_hit;
   metrics_.RecordPrefixLookup(was_hit);
-  if (was_hit) return cached;
-
-  EMX_TRACE_SPAN("serve.prefix_encode", [&] {
-    return obs::KeyValues(
-        {{"tokens", static_cast<int64_t>(ids.size())},
-         {"query_side", query_side ? int64_t{1} : int64_t{0}}});
-  });
-  const auto& specials = model.matcher->tokenizer().specials();
-  models::Batch seg;
-  seg.batch_size = 1;
-  if (query_side) {
-    seg.ids.reserve(ids.size() + 2);
-    seg.ids.push_back(specials.cls);
-    seg.ids.insert(seg.ids.end(), ids.begin(), ids.end());
-    seg.ids.push_back(specials.sep);
-  } else {
-    seg.ids.reserve(ids.size() + 1);
-    seg.ids = ids;
-    seg.ids.push_back(specials.sep);
-  }
-  seg.seq_len = static_cast<int64_t>(seg.ids.size());
-  seg.segment_ids.assign(seg.ids.size(), query_side ? 0 : 1);
-  // No mask: the segment has no padding, and segment-locality is implied
-  // by encoding it alone.
-  NoGradGuard no_grad;
-  nn::QuantModeGuard quant(options_.precision == Precision::kInt8);
-  Rng rng(0);  // never drawn: the prefix forward runs dropout-free
-  Variable prefix =
-      model.matcher->classifier()->backbone()->EncodeSegmentPrefix(
-          seg, options_.split_layer, position_offset, &rng);
-  return prefix_cache_.Put(key, prefix.value());
+  return prefix;
 }
 
 bool MatcherEngine::WarmCandidate(std::string_view text,
@@ -423,26 +376,15 @@ bool MatcherEngine::WarmCandidate(std::string_view text,
   EMX_CHECK_GE(query_segment_len, 2)
       << "query_segment_len counts [CLS] and [SEP]";
   if (ShutdownSeen()) return false;
-  std::shared_ptr<const std::vector<int64_t>> c_ids = entity_tokens_.Get(text);
-  // Replay EncodePair's longest-first truncation against a hypothetical
-  // query of the given length, so the warmed key matches what a real
-  // request of that shape will ask for.
-  int64_t la = query_segment_len - 2;
-  int64_t lb = static_cast<int64_t>(c_ids->size());
-  const int64_t budget = options_.max_seq_len - 3;
-  while (la + lb > budget) {
-    if (la >= lb && la > 0) {
-      --la;
-    } else if (lb > 0) {
-      --lb;
-    } else {
-      --la;
-    }
-  }
-  std::vector<int64_t> b(c_ids->begin(), c_ids->begin() + lb);
-  bool hit = false;
+  // Truncate against a stand-in query of the given length (only its size
+  // matters; beyond max_seq_len it truncates identically), so the warmed
+  // key matches what a real request of that shape will ask for.
+  std::vector<int64_t> a(static_cast<size_t>(
+      std::min(query_segment_len - 2, options_.max_seq_len)));
+  std::vector<int64_t> b = *Tokens(text, nullptr);
+  tokenizers::TruncatePair(&a, &b, options_.max_seq_len - 3);
   PrefixFor(*CurrentModel(), text, b, /*query_side=*/false,
-            /*position_offset=*/la + 2, &hit);
+            /*position_offset=*/static_cast<int64_t>(a.size()) + 2, nullptr);
   return true;
 }
 
@@ -524,9 +466,8 @@ void MatcherEngine::Shutdown() {
 
 MetricsSnapshot MatcherEngine::Metrics() const {
   MetricsSnapshot s = metrics_.Snapshot(queue_depth());
-  s.token_cache_bytes =
-      cache_.resident_bytes() + entity_tokens_.resident_bytes();
-  s.token_cache_evictions = cache_.evictions() + entity_tokens_.evictions();
+  s.token_cache_bytes = tokens_.resident_bytes();
+  s.token_cache_evictions = tokens_.evictions();
   s.prefix_bytes = prefix_cache_.resident_bytes();
   s.prefix_evictions = prefix_cache_.evictions();
   return s;
@@ -613,118 +554,76 @@ void MatcherEngine::WorkerLoop(uint64_t worker_id) {
 }
 
 void MatcherEngine::RunBatch(std::vector<Request> batch, Rng* rng) {
-  if (split_enabled()) {
-    RunBatchSplit(std::move(batch), rng);
-    return;
-  }
   const Clock::time_point formed = Clock::now();
   const int64_t b = static_cast<int64_t>(batch.size());
   EMX_TRACE_SPAN("serve.batch", [&] {
     return obs::KeyValues(
         {{"size", b},
-         {"bucket", batch.empty() ? 0 : batch.front().bucket}});
+         {"bucket", batch.empty() ? 0 : batch.front().bucket},
+         {"split_layer", options_.split_layer}});
   });
 
   // Pad only to the bucket top (rounded up from the longest member), not to
   // the engine-wide max_seq_len: short pairs never pay for long ones.
   int64_t longest = 1;
-  for (const Request& r : batch) longest = std::max(longest, r.enc.length);
+  for (const Request& r : batch) longest = std::max(longest, r.length());
   const int64_t target_len = std::min(
       options_.max_seq_len,
       (longest + options_.bucket_width - 1) / options_.bucket_width *
           options_.bucket_width);
-
-  models::Batch mb;
-  mb.batch_size = b;
-  mb.seq_len = target_len;
-  mb.ids.reserve(static_cast<size_t>(b * target_len));
-  mb.segment_ids.reserve(static_cast<size_t>(b * target_len));
-  std::vector<float> pad_flags;
-  pad_flags.reserve(static_cast<size_t>(b * target_len));
-  for (const Request& r : batch) {
-    // Cached encodings are padded to max_seq_len; the batch keeps only the
-    // first target_len positions (>= every member's real length, so only
-    // pad tokens are dropped and masked attention is unchanged).
-    const auto& enc = r.enc.enc;
-    mb.ids.insert(mb.ids.end(), enc.ids.begin(), enc.ids.begin() + target_len);
-    mb.segment_ids.insert(mb.segment_ids.end(), enc.segment_ids.begin(),
-                          enc.segment_ids.begin() + target_len);
-    pad_flags.insert(pad_flags.end(), enc.attention_mask.begin(),
-                     enc.attention_mask.begin() + target_len);
-  }
-  mb.attention_mask = models::Batch::MakeMask(pad_flags, b, target_len);
 
   // Every member snapshotted the same model (version is part of the
   // bucket); the batch holds it alive even if a swap lands mid-forward.
   const VersionedModel& model = *batch.front().model;
+  models::SequencePairClassifier* classifier = model.matcher->classifier();
   NoGradGuard no_grad;
   // QuantMode is thread-local, so each worker pins the engine's precision
   // for the duration of its own forward.
   nn::QuantModeGuard quant(options_.precision == Precision::kInt8);
-  Variable logits =
-      model.matcher->classifier()->Logits(mb, /*train=*/false, rng);
-  Tensor probs = ops::Softmax(logits.value());
-  const Clock::time_point done = Clock::now();
-
-  metrics_.RecordBatch(b);
-  for (int64_t i = 0; i < b; ++i) {
-    Request& r = batch[static_cast<size_t>(i)];
-    MatchResult result;
-    result.status = Status::OK();
-    result.probability = probs[i * 2 + 1];
-    result.is_match = result.probability >= 0.5;
-    result.queue_us = ElapsedUs(r.enqueued, formed);
-    result.total_us = ElapsedUs(r.enqueued, done);
-    result.batch_size = b;
-    result.cache_hit = r.cache_hit;
-    result.model_version = model.version;
-    metrics_.RecordCompletion(result.total_us);
-    r.promise.set_value(std::move(result));
+  std::vector<float> pad_flags;
+  pad_flags.reserve(static_cast<size_t>(b * target_len));
+  Variable logits;
+  if (!split_enabled()) {
+    models::Batch mb;
+    mb.batch_size = b;
+    mb.seq_len = target_len;
+    mb.ids.reserve(static_cast<size_t>(b * target_len));
+    mb.segment_ids.reserve(static_cast<size_t>(b * target_len));
+    for (const Request& r : batch) {
+      const tokenizers::EncodedPair enc =
+          model.matcher->tokenizer().AssemblePair(r.a, r.b, target_len);
+      mb.ids.insert(mb.ids.end(), enc.ids.begin(), enc.ids.end());
+      mb.segment_ids.insert(mb.segment_ids.end(), enc.segment_ids.begin(),
+                            enc.segment_ids.end());
+      pad_flags.insert(pad_flags.end(), enc.attention_mask.begin(),
+                       enc.attention_mask.end());
+    }
+    mb.attention_mask = models::Batch::MakeMask(pad_flags, b, target_len);
+    logits = classifier->Logits(mb, /*train=*/false, rng);
+  } else {
+    // The prefixes entering layer split_layer, concatenated per row. Pad
+    // positions hold zero vectors instead of pad-token embeddings; both
+    // are blocked by the mask, so real rows never see the difference.
+    const int64_t h = classifier->config().hidden;
+    Tensor input = Tensor::Zeros({b, target_len, h});
+    pad_flags.assign(static_cast<size_t>(b * target_len), 1.0f);
+    for (int64_t i = 0; i < b; ++i) {
+      const Request& r = batch[static_cast<size_t>(i)];
+      const int64_t len_q = r.prefix_q->dim(1);
+      const int64_t len_c = r.prefix_c->dim(1);
+      float* row = input.data() + i * target_len * h;
+      std::memcpy(row, r.prefix_q->data(),
+                  static_cast<size_t>(len_q * h) * sizeof(float));
+      std::memcpy(row + len_q * h, r.prefix_c->data(),
+                  static_cast<size_t>(len_c * h) * sizeof(float));
+      std::fill(pad_flags.begin() + i * target_len,
+                pad_flags.begin() + i * target_len + len_q + len_c, 0.0f);
+    }
+    logits = classifier->LogitsFromHidden(
+        Variable::Constant(std::move(input)),
+        models::Batch::MakeMask(pad_flags, b, target_len),
+        options_.split_layer, /*train=*/false, rng);
   }
-}
-
-void MatcherEngine::RunBatchSplit(std::vector<Request> batch, Rng* rng) {
-  const Clock::time_point formed = Clock::now();
-  const int64_t b = static_cast<int64_t>(batch.size());
-  EMX_TRACE_SPAN("serve.batch_split", [&] {
-    return obs::KeyValues(
-        {{"size", b},
-         {"bucket", batch.empty() ? 0 : batch.front().bucket}});
-  });
-
-  // Pad to the bucket top like the pair path. Pad positions hold zero
-  // vectors instead of pad-token embeddings — both are blocked by the mask,
-  // so real rows (and the CLS logits) never see the difference.
-  int64_t longest = 1;
-  for (const Request& r : batch) {
-    longest = std::max(longest, r.len_q + r.len_c);
-  }
-  const int64_t target_len = std::min(
-      options_.max_seq_len,
-      (longest + options_.bucket_width - 1) / options_.bucket_width *
-          options_.bucket_width);
-
-  const VersionedModel& model = *batch.front().model;
-  const int64_t h = model.matcher->classifier()->config().hidden;
-  Tensor input = Tensor::Zeros({b, target_len, h});
-  std::vector<float> pad_flags(static_cast<size_t>(b * target_len), 1.0f);
-  for (int64_t i = 0; i < b; ++i) {
-    const Request& r = batch[static_cast<size_t>(i)];
-    float* row = input.data() + i * target_len * h;
-    std::memcpy(row, r.prefix_q->data(),
-                static_cast<size_t>(r.len_q * h) * sizeof(float));
-    std::memcpy(row + r.len_q * h, r.prefix_c->data(),
-                static_cast<size_t>(r.len_c * h) * sizeof(float));
-    std::fill(pad_flags.begin() + i * target_len,
-              pad_flags.begin() + i * target_len + r.len_q + r.len_c, 0.0f);
-  }
-  const Tensor mask = models::Batch::MakeMask(pad_flags, b, target_len);
-
-  NoGradGuard no_grad;
-  nn::QuantModeGuard quant(options_.precision == Precision::kInt8);
-  Variable hidden = Variable::Constant(std::move(input));
-  Variable logits = model.matcher->classifier()->LogitsFromHidden(
-      hidden, mask, options_.split_layer, /*train=*/false, rng);
   Tensor probs = ops::Softmax(logits.value());
   const Clock::time_point done = Clock::now();
 

@@ -15,9 +15,8 @@
 #include <vector>
 
 #include "core/entity_matcher.h"
-#include "serve/activation_cache.h"
+#include "serve/lru_cache.h"
 #include "serve/serving_metrics.h"
-#include "serve/token_cache.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -49,7 +48,9 @@ struct EngineOptions {
   /// in bucket ceil(L / bucket_width) and is only batched with requests of
   /// the same bucket, padded to the bucket top instead of max_seq_len.
   int64_t bucket_width = 16;
-  /// Tokenization LRU capacity (pairs).
+  /// Tokenization LRU capacity in entities: each side of a request is
+  /// tokenized once per distinct text and shared by every pair it appears
+  /// in. <= 0 disables the cache.
   int64_t cache_capacity = 4096;
   /// Deadline applied to Submit calls that don't carry their own;
   /// 0 = no deadline.
@@ -107,8 +108,9 @@ struct MatchResult {
   double total_us = 0;
   /// Size of the micro-batch this request was served in.
   int64_t batch_size = 0;
-  /// Whether tokenization was served from the LRU cache (on the split path:
-  /// whether the candidate's entity tokenization was cached).
+  /// Whether every entity tokenization this request needed came from the
+  /// LRU cache (both sides for Submit; the candidate for SubmitAgainst,
+  /// whose query was tokenized by PinQuery).
   bool cache_hit = false;
   /// Split path only: whether each side's layer-k prefix came from the
   /// activation cache (false on the pair path).
@@ -121,9 +123,10 @@ struct MatchResult {
 };
 
 /// A query entity pinned for 1-vs-N re-ranking: the text is tokenized once
-/// at PinQuery time and its layer-k prefix is encoded once per distinct
-/// truncation length, instead of once per SubmitAgainst. Cheap to copy
-/// (shared state); valid for the lifetime of the engine that minted it.
+/// at PinQuery time and, with split caching on, its layer-k prefix is
+/// encoded once per distinct truncation length, instead of once per
+/// SubmitAgainst. Cheap to copy (shared state); valid for the lifetime of
+/// the engine that minted it.
 class PinnedQuery {
  public:
   PinnedQuery() = default;
@@ -142,11 +145,13 @@ class PinnedQuery {
 /// Batched, grad-free inference serving for a fine-tuned (or
 /// checkpoint-loaded) EntityMatcher.
 ///
-/// Pipeline: Submit() tokenizes on the caller thread through the LRU cache,
-/// length-buckets the request and enqueues it (bounded). A single batching
-/// worker groups the oldest request with its bucket peers, flushes on
-/// batch-size or max-wait, runs one NoGradGuard forward per micro-batch
-/// padded only to the bucket top, and fulfills the per-request futures.
+/// Pipeline: Submit() tokenizes each entity on the caller thread through
+/// the entity LRU cache, truncates the pair longest-first, (split path)
+/// resolves both layer-k prefixes through the activation cache, then
+/// length-buckets the request and enqueues it (bounded). A batching worker
+/// groups the oldest request with its bucket peers, flushes on batch-size
+/// or max-wait, runs one NoGradGuard forward per micro-batch padded only to
+/// the bucket top, and fulfills the per-request futures.
 /// Metrics (throughput, latency percentiles, queue depth, batch-size
 /// histogram, cache hit rate) are snapshotable as JSON at any time.
 ///
@@ -182,9 +187,8 @@ class MatcherEngine {
   /// Convenience: Submit + wait.
   MatchResult Match(std::string text_a, std::string text_b);
 
-  /// Tokenizes `text` once for use as the query side of many SubmitAgainst
-  /// calls. Works with split caching disabled too (SubmitAgainst then
-  /// degrades to Submit(query.text(), candidate)).
+  /// Tokenizes `text` once (through the entity cache) for use as the query
+  /// side of many SubmitAgainst calls, with split caching on or off.
   PinnedQuery PinQuery(std::string text);
 
   /// Enqueues (query, candidate) reusing the pinned query's tokenization
@@ -219,7 +223,7 @@ class MatcherEngine {
   /// hidden size and layer count as the current model, int8 backends when
   /// the engine serves kInt8, split support when split_layer is set — and
   /// must tokenize identically to the construction-time matcher (the
-  /// tokenization caches are keyed on raw text and survive the swap).
+  /// entity token cache is keyed on raw text and survives the swap).
   /// Returns InvalidArgument and keeps serving the old model otherwise.
   Status SwapModel(std::shared_ptr<core::EntityMatcher> next);
 
@@ -240,8 +244,7 @@ class MatcherEngine {
   std::string MetricsJson() const;
 
   int64_t queue_depth() const;
-  const TokenizationCache& cache() const { return cache_; }
-  const ActivationCache& prefix_cache() const { return prefix_cache_; }
+  const LruCache<Tensor>& prefix_cache() const { return prefix_cache_; }
   const EngineOptions& options() const { return options_; }
   /// Whether this engine serves through the split-encoder prefix path.
   bool split_enabled() const { return options_.split_layer >= 0; }
@@ -259,13 +262,18 @@ class MatcherEngine {
 
   struct Request {
     std::promise<MatchResult> promise;
-    CachedEncoding enc;  // pair path only
-    // Split path only: per-entity layer-k prefixes ([1, len, H] tensors,
-    // shared with the activation cache so eviction cannot invalidate them).
+    /// Both entities' tokens after longest-first truncation (no specials).
+    std::vector<int64_t> a;
+    std::vector<int64_t> b;
+    /// Real token count of [CLS] a [SEP] b [SEP].
+    int64_t length() const {
+      return static_cast<int64_t>(a.size() + b.size()) + 3;
+    }
+    // Split path only: per-entity layer-k prefixes ([1, a.size() + 2, H]
+    // and [1, b.size() + 1, H], shared with the activation cache so
+    // eviction cannot invalidate them).
     std::shared_ptr<const Tensor> prefix_q;
     std::shared_ptr<const Tensor> prefix_c;
-    int64_t len_q = 0;  // CLS + truncated query + SEP
-    int64_t len_c = 0;  // truncated candidate + SEP
     bool prefix_hit_q = false;
     bool prefix_hit_c = false;
     bool cache_hit = false;
@@ -287,19 +295,22 @@ class MatcherEngine {
   /// fulfills its promise with Unavailable / ResourceExhausted.
   void EnqueueOrReject(Request req);
   bool ShutdownSeen() const;
-  /// Runs one micro-batch (no lock held): bucket-padded batch build,
-  /// grad-free forward, promise fulfillment.
+  /// Runs one micro-batch (no lock held): bucket-padded input, grad-free
+  /// forward, promise fulfillment. The input is the token batch, or on the
+  /// split path the concatenated prefixes entering layer split_layer.
   void RunBatch(std::vector<Request> batch, Rng* rng);
-  /// Split-path forward: concatenates cached prefixes into [B, T, H] and
-  /// runs layers [split_layer, L) plus the head.
-  void RunBatchSplit(std::vector<Request> batch, Rng* rng);
 
-  /// Shared split submission tail: truncates the pair, resolves both
-  /// prefixes through the activation cache (encoding misses on the caller
-  /// thread), and enqueues.
-  std::future<MatchResult> SubmitSplit(
-      const std::shared_ptr<const PinnedQuery::State>& query,
-      std::string_view candidate, int64_t timeout_us);
+  /// The body of Submit and SubmitAgainst: tokenizes `text_a` (unless
+  /// `pinned_a` carries its tokens) and `text_b`, truncates the pair,
+  /// snapshots the model, resolves both prefixes on the split path
+  /// (encoding misses on the caller thread), buckets and enqueues.
+  std::future<MatchResult> SubmitPair(std::string_view text_a,
+                                      const std::vector<int64_t>* pinned_a,
+                                      std::string_view text_b,
+                                      int64_t timeout_us);
+  /// One entity's tokens through the entity cache.
+  std::shared_ptr<const std::vector<int64_t>> Tokens(std::string_view text,
+                                                     bool* hit);
   /// Returns the layer-k prefix for one entity segment under `model`,
   /// consulting the activation cache (keys are version-tagged) and
   /// encoding on miss. `ids` are the truncated raw entity tokens (no
@@ -314,18 +325,17 @@ class MatcherEngine {
     return model_.load(std::memory_order_acquire);
   }
 
-  /// The construction-time matcher. Tokenization (cache_, entity_tokens_)
-  /// stays bound to its tokenizer across swaps; forwards go through the
-  /// per-request model snapshot instead.
+  /// The construction-time matcher. Tokenization (tokens_) stays bound to
+  /// its tokenizer across swaps; forwards go through the per-request model
+  /// snapshot instead.
   core::EntityMatcher* matcher_;
   std::atomic<std::shared_ptr<const VersionedModel>> model_;
   /// Serializes SwapModel callers (the version bump is read-modify-write).
   std::mutex swap_mu_;
   const EngineOptions options_;
-  TokenizationCache cache_;
   ServingMetrics metrics_;
-  EntityTokenCache entity_tokens_;
-  ActivationCache prefix_cache_;
+  LruCache<std::vector<int64_t>> tokens_;
+  LruCache<Tensor> prefix_cache_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;

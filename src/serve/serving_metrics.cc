@@ -7,20 +7,6 @@
 namespace emx {
 namespace serve {
 
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  if (sorted.size() == 1) return sorted[0];
-  q = std::min(std::max(q, 0.0), 1.0);
-  // Linear interpolation between the two closest ranks. The previous
-  // nearest-rank + 0.5 rounding jumped straight to the upper sample — for
-  // a 2-element buffer, p50 returned the max.
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
-
 namespace {
 
 void AppendField(std::string* out, const char* name, double value,
@@ -93,7 +79,6 @@ ServingMetrics::ServingMetrics(int64_t max_batch_size) {
   cache_misses_ = registry_.GetCounter("serve.cache_misses");
   prefix_hits_ = registry_.GetCounter("serve.prefix_cache.hits");
   prefix_misses_ = registry_.GetCounter("serve.prefix_cache.misses");
-  token_cache_bytes_ = registry_.GetGauge("serve.token_cache.bytes");
   max_queue_depth_ = registry_.GetGauge("serve.max_queue_depth");
   model_swaps_ = registry_.GetCounter("serve.model_swaps");
   model_version_ = registry_.GetGauge("serve.model_version");
@@ -104,10 +89,6 @@ ServingMetrics::ServingMetrics(int64_t max_batch_size) {
   batch_hist_ = registry_.GetHistogram(
       "serve.batch_size",
       obs::LinearBuckets(0, 1, static_cast<int>(max_batch_size) + 1));
-  latencies_ = std::make_unique<std::atomic<double>[]>(kLatencyWindow);
-  for (size_t i = 0; i < kLatencyWindow; ++i) {
-    latencies_[i].store(0, std::memory_order_relaxed);
-  }
 }
 
 void ServingMetrics::RecordSubmitted(int64_t queue_depth_after) {
@@ -125,10 +106,7 @@ void ServingMetrics::RecordBatch(int64_t batch_size) {
 
 void ServingMetrics::RecordCompletion(double total_us) {
   completed_->Add(1);
-  // Lock-free: claim a slot, store the sample. Concurrent snapshots read
-  // the slot atomically and see the old or the new sample — both valid.
-  const uint64_t op = latency_ops_.fetch_add(1, std::memory_order_relaxed);
-  latencies_[op % kLatencyWindow].store(total_us, std::memory_order_relaxed);
+  latencies_.Record(total_us);
 }
 
 void ServingMetrics::RecordCacheLookup(bool hit) {
@@ -137,10 +115,6 @@ void ServingMetrics::RecordCacheLookup(bool hit) {
 
 void ServingMetrics::RecordPrefixLookup(bool hit) {
   (hit ? prefix_hits_ : prefix_misses_)->Add(1);
-}
-
-void ServingMetrics::RecordTokenCacheBytes(int64_t bytes) {
-  token_cache_bytes_->Set(static_cast<double>(bytes));
 }
 
 void ServingMetrics::RecordModelSwap(int64_t new_version) {
@@ -181,19 +155,10 @@ MetricsSnapshot ServingMetrics::Snapshot(int64_t queue_depth) const {
   s.uptime_seconds = uptime_.ElapsedSeconds();
   s.throughput_pairs_per_sec =
       s.uptime_seconds > 0 ? s.completed / s.uptime_seconds : 0;
-  // Copy the window with per-slot atomic loads — no lock, so concurrent
-  // RecordCompletion calls are never stalled behind this copy.
-  const uint64_t ops = latency_ops_.load(std::memory_order_relaxed);
-  const size_t window_size =
-      static_cast<size_t>(std::min<uint64_t>(ops, kLatencyWindow));
-  std::vector<double> window(window_size);
-  for (size_t i = 0; i < window_size; ++i) {
-    window[i] = latencies_[i].load(std::memory_order_relaxed);
-  }
-  std::sort(window.begin(), window.end());
-  s.p50_latency_us = Percentile(window, 0.50);
-  s.p95_latency_us = Percentile(window, 0.95);
-  s.p99_latency_us = Percentile(window, 0.99);
+  const std::vector<double> window = latencies_.Sorted();
+  s.p50_latency_us = obs::Percentile(window, 0.50);
+  s.p95_latency_us = obs::Percentile(window, 0.95);
+  s.p99_latency_us = obs::Percentile(window, 0.99);
   s.max_latency_us = window.empty() ? 0 : window.back();
   return s;
 }

@@ -1,9 +1,7 @@
 #ifndef EMX_SERVE_SERVING_METRICS_H_
 #define EMX_SERVE_SERVING_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,10 +10,6 @@
 
 namespace emx {
 namespace serve {
-
-/// Linearly interpolated percentile over an ascending-sorted sample
-/// (q in [0, 1], clamped). Empty input returns 0.
-double Percentile(const std::vector<double>& sorted, double q);
 
 /// Point-in-time view of the serving counters. All totals are cumulative
 /// since engine construction; latencies are computed over a bounded window
@@ -30,8 +24,8 @@ struct MetricsSnapshot {
   int64_t cache_misses = 0;
   /// hits / (hits + misses); 0 when no lookups happened.
   double cache_hit_rate = 0;
-  /// Tokenization-cache residency (pair cache + entity cache), for sizing
-  /// cache_capacity from a live snapshot.
+  /// Entity tokenization cache residency, for sizing cache_capacity from a
+  /// live snapshot.
   int64_t token_cache_bytes = 0;
   int64_t token_cache_evictions = 0;
 
@@ -83,20 +77,10 @@ struct MetricsSnapshot {
 
 /// Thread-safe counters for the matcher engine, built on the emx::obs
 /// metrics primitives: each ServingMetrics owns a private
-/// obs::MetricsRegistry (engines must not share counters), with the
-/// latency percentile ring kept locally because percentiles need raw
-/// samples, not fixed buckets. Latencies are kept in a fixed-size ring
-/// (most recent `kLatencyWindow` completions) so a long-running server
-/// never grows.
-///
-/// The ring is lock-free: completions claim a slot with one relaxed
-/// fetch_add and store the sample with one relaxed atomic store, so the
-/// completion hot path never takes a mutex and is never blocked by a
-/// Snapshot() copying the 8192-entry window (which it previously did,
-/// under the same lock, on every snapshot). A snapshot that races a
-/// completion reads each slot atomically and sees either the old or the
-/// new sample for that slot — both are valid recent completions, which is
-/// all percentiles over a sliding window promise.
+/// obs::MetricsRegistry (engines must not share counters), and latencies go
+/// to a lock-free obs::LatencyWindow of the most recent `kLatencyWindow`
+/// completions, so a long-running server never grows and the completion
+/// hot path never takes a mutex.
 class ServingMetrics {
  public:
   explicit ServingMetrics(int64_t max_batch_size);
@@ -111,9 +95,6 @@ class ServingMetrics {
   void RecordCacheLookup(bool hit);
   /// One activation-cache (prefix) lookup on the split path.
   void RecordPrefixLookup(bool hit);
-  /// Publishes the tokenization caches' resident bytes as the
-  /// serve.token_cache.bytes gauge.
-  void RecordTokenCacheBytes(int64_t bytes);
   /// One SwapModel publish; `new_version` becomes the serving version.
   void RecordModelSwap(int64_t new_version);
 
@@ -136,17 +117,11 @@ class ServingMetrics {
   obs::Counter* cache_misses_;
   obs::Counter* prefix_hits_;
   obs::Counter* prefix_misses_;
-  obs::Gauge* token_cache_bytes_;
   obs::Gauge* max_queue_depth_;
   obs::Counter* model_swaps_;
   obs::Gauge* model_version_;
   obs::Histogram* batch_hist_;  // exact integer buckets [0, max_batch_size]
-
-  /// Lock-free latency ring: slot i of the k-th completion is k %
-  /// kLatencyWindow. latency_ops_ counts completions ever recorded; the
-  /// valid window is min(latency_ops_, kLatencyWindow) samples.
-  std::unique_ptr<std::atomic<double>[]> latencies_;
-  std::atomic<uint64_t> latency_ops_{0};
+  obs::LatencyWindow latencies_{kLatencyWindow};
   Timer uptime_;
 };
 

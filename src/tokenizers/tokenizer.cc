@@ -35,7 +35,14 @@ EncodedPair Tokenizer::EncodePair(std::string_view text_a,
   std::vector<int64_t> a = Encode(text_a);
   std::vector<int64_t> b = Encode(text_b);
   TruncatePair(&a, &b, max_len - 3);
+  return AssemblePair(a, b, max_len);
+}
 
+EncodedPair Tokenizer::AssemblePair(const std::vector<int64_t>& a,
+                                    const std::vector<int64_t>& b,
+                                    int64_t max_len) const {
+  EMX_CHECK_LE(static_cast<int64_t>(a.size() + b.size()) + 3, max_len)
+      << "truncate the pair before assembling it";
   EncodedPair out;
   out.ids.reserve(static_cast<size_t>(max_len));
   out.ids.push_back(specials_.cls);

@@ -38,9 +38,17 @@ class Tokenizer {
   virtual std::string Decode(const std::vector<int64_t>& ids) const = 0;
 
   /// Builds the [CLS] a [SEP] b [SEP] encoding of Figure 9, truncating the
-  /// longer entity first so both fit in max_len, then padding.
+  /// longer entity first so both fit in max_len, then padding: Encode each
+  /// side, TruncatePair(max_len - 3), AssemblePair.
   EncodedPair EncodePair(std::string_view text_a, std::string_view text_b,
                          int64_t max_len) const;
+
+  /// The layout step of EncodePair: lays out already-truncated entity
+  /// tokens (no specials; a.size() + b.size() + 3 <= max_len) as
+  /// [CLS] a [SEP] b [SEP] and pads to max_len.
+  EncodedPair AssemblePair(const std::vector<int64_t>& a,
+                           const std::vector<int64_t>& b,
+                           int64_t max_len) const;
 
   /// Builds a single-segment encoding [CLS] a [SEP], padded to max_len.
   EncodedPair EncodeSingle(std::string_view text, int64_t max_len) const;

@@ -12,6 +12,7 @@
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
+#include "reference_kernels.h"
 #include "tensor/autograd_ops.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -294,10 +295,10 @@ TEST(AttentionTest, CausalMaskMakesOutputsPrefixDependent) {
 
 TEST(AttentionTest, SplitMergeHeadsRoundTrip) {
   Rng rng(14);
-  MultiHeadAttention attn(12, 4, &rng);
   Tensor x = Tensor::Randn({2, 5, 12}, &rng);
   Variable v = Variable::Constant(x);
-  Variable round = attn.MergeHeads(attn.SplitHeads(v));
+  Variable round =
+      reference::MergeHeads(reference::SplitHeads(v, /*num_heads=*/4));
   EXPECT_TRUE(ops::AllClose(round.value(), x));
 }
 
@@ -316,15 +317,7 @@ TEST(AttentionTest, GradientFlowsThroughAllProjections) {
   }
 }
 
-// ---- Attention backend (fused kernel) --------------------------------------
-
-TEST(AttentionBackendTest, DefaultBackendIsFused) {
-  Rng rng(40);
-  MultiHeadAttention attn(8, 2, &rng);
-  EXPECT_NE(attn.backend(), nullptr);
-  EXPECT_NE(dynamic_cast<FusedAttentionBackend*>(attn.backend().get()),
-            nullptr);
-}
+// ---- Fused attention vs the unfused reference chain -----------------------
 
 TEST(AttentionBackendTest, FusedForwardBitIdenticalToReference) {
   Rng rng(41);
@@ -335,7 +328,9 @@ TEST(AttentionBackendTest, FusedForwardBitIdenticalToReference) {
   Variable v = Variable::Constant(x);
   for (const Tensor& m : {Tensor(), mask}) {
     Tensor fused = attn.Forward(v, v, m, 0.0f, false, &rng).value();
-    Tensor ref = attn.ForwardReference(v, v, m, 0.0f, false, &rng).value();
+    Tensor ref =
+        reference::AttentionReference(attn, v, v, m, 0.0f, false, &rng)
+            .value();
     ASSERT_EQ(fused.shape(), ref.shape());
     for (int64_t i = 0; i < fused.size(); ++i) {
       EXPECT_EQ(fused[i], ref[i]) << "index " << i;
@@ -349,25 +344,12 @@ TEST(AttentionBackendTest, CrossAttentionBitIdenticalToReference) {
   Variable q = Variable::Constant(Tensor::Randn({2, 4, 8}, &rng));
   Variable kv = Variable::Constant(Tensor::Randn({2, 7, 8}, &rng));
   Tensor fused = attn.Forward(q, kv, Tensor(), 0.0f, false, &rng).value();
-  Tensor ref = attn.ForwardReference(q, kv, Tensor(), 0.0f, false, &rng).value();
+  Tensor ref = reference::AttentionReference(attn, q, kv, Tensor(), 0.0f,
+                                             false, &rng)
+                   .value();
   for (int64_t i = 0; i < fused.size(); ++i) {
     EXPECT_EQ(fused[i], ref[i]) << "index " << i;
   }
-}
-
-TEST(AttentionBackendTest, ClearingBackendFallsBackToReference) {
-  Rng rng(43);
-  MultiHeadAttention attn(8, 2, &rng);
-  Variable x = Variable::Constant(Tensor::Randn({1, 5, 8}, &rng));
-  Tensor fused = attn.Forward(x, x, Tensor(), 0.0f, false, &rng).value();
-  attn.set_backend(nullptr);
-  EXPECT_EQ(attn.backend(), nullptr);
-  Tensor ref = attn.Forward(x, x, Tensor(), 0.0f, false, &rng).value();
-  for (int64_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(fused[i], ref[i]) << "index " << i;
-  }
-  attn.set_backend(std::make_shared<FusedAttentionBackend>());
-  EXPECT_NE(attn.backend(), nullptr);
 }
 
 TEST(AttentionBackendTest, FusedForwardNeverMaterializesProbTensor) {
@@ -380,7 +362,10 @@ TEST(AttentionBackendTest, FusedForwardNeverMaterializesProbTensor) {
 
   ResetTensorMemPeak();
   const int64_t base = GetTensorMemStats().live_bytes;
-  { Variable out = attn.ForwardReference(x, x, Tensor(), 0.0f, false, &rng); }
+  {
+    Variable out =
+        reference::AttentionReference(attn, x, x, Tensor(), 0.0f, false, &rng);
+  }
   const int64_t ref_peak = GetTensorMemStats().peak_bytes - base;
 
   ResetTensorMemPeak();
@@ -408,7 +393,8 @@ TEST(AttentionBackendTest, FusedTrainingGradsMatchReferenceWithin1e4) {
     for (auto& p : attn.Parameters()) p.var.ZeroGrad();
     Variable x = Variable::Constant(xt);
     Variable y = fused ? attn.Forward(x, x, mask, 0.0f, false, &rng)
-                       : attn.ForwardReference(x, x, mask, 0.0f, false, &rng);
+                       : reference::AttentionReference(attn, x, x, mask, 0.0f,
+                                                     false, &rng);
     Backward(ag::MeanAll(ag::Mul(y, y)));
     std::vector<Tensor> out;
     for (auto& p : attn.Parameters()) out.push_back(p.var.grad().Clone());

@@ -213,6 +213,77 @@ TEST(MetricsTest, RegistrySnapshotUnderConcurrentWriters) {
                    static_cast<double>(kThreads * kIters - 1));
 }
 
+// ---- Percentiles and the latency window --------------------------------
+
+TEST(PercentileTest, LinearInterpolationOnSmallSamples) {
+  // Regression for the nearest-rank +0.5 rounding bug: a 2-sample buffer
+  // at q=0.5 returned the max instead of the midpoint.
+  EXPECT_EQ(Percentile({1.0, 2.0}, 0.5), 1.5);
+  EXPECT_EQ(Percentile({}, 0.5), 0.0);
+  EXPECT_EQ(Percentile({7.0}, 0.99), 7.0);
+  const std::vector<double> v = {10.0, 20.0, 30.0, 40.0};
+  EXPECT_EQ(Percentile(v, 0.0), 10.0);
+  EXPECT_EQ(Percentile(v, 1.0), 40.0);
+  EXPECT_EQ(Percentile(v, 0.5), 25.0);
+  EXPECT_EQ(Percentile(v, 0.25), 17.5);
+  EXPECT_EQ(Percentile(v, 0.75), 32.5);
+  // Out-of-range quantiles clamp instead of indexing out of bounds.
+  EXPECT_EQ(Percentile(v, -0.5), 10.0);
+  EXPECT_EQ(Percentile(v, 2.0), 40.0);
+}
+
+TEST(LatencyWindowTest, KeepsTheMostRecentSamplesSorted) {
+  LatencyWindow window(3);
+  EXPECT_TRUE(window.Sorted().empty());
+  window.Record(5.0);
+  window.Record(1.0);
+  EXPECT_EQ(window.Sorted(), (std::vector<double>{1.0, 5.0}));
+  window.Record(3.0);
+  window.Record(4.0);  // overwrites the oldest sample (5.0)
+  EXPECT_EQ(window.Sorted(), (std::vector<double>{1.0, 3.0, 4.0}));
+}
+
+TEST(LatencyWindowTest, ConcurrentCompletionsAndSnapshotsAreClean) {
+  // The window is lock-free: writers must never block behind a reader
+  // copying it, and concurrent access must be TSan-clean (this test runs in
+  // the CI thread-sanitizer job). Every sample any reader observes has to
+  // be a value some writer actually recorded.
+  LatencyWindow window(8192);
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 5000;
+  std::atomic<bool> stop{false};
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&window, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        window.Record(100.0 + w);  // values in {100, 101, 102, 103}
+      }
+    });
+  }
+  std::thread reader([&window, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::vector<double> sorted = window.Sorted();
+      EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+      // Slots claimed but not yet stored still read 0 (their initial
+      // value), never anything else.
+      for (double x : sorted) {
+        EXPECT_TRUE(x == 0.0 || (x >= 100.0 && x <= 103.0)) << x;
+      }
+    }
+  });
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  // All 20000 samples outnumber the 8192 slots, so the window is full and
+  // every slot holds one of the recorded values.
+  const std::vector<double> sorted = window.Sorted();
+  ASSERT_EQ(sorted.size(), 8192u);
+  EXPECT_GE(Percentile(sorted, 0.0), 100.0);
+  EXPECT_LE(Percentile(sorted, 1.0), 103.0);
+}
+
 // ---- Trace spans + exporter --------------------------------------------
 
 class TraceTest : public ::testing::Test {

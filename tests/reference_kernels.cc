@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/autograd_ops.h"
 #include "tensor/kernel_math.h"
 #include "util/logging.h"
 
@@ -56,6 +57,43 @@ float GeluGradReference(float x) {
   const float t = std::tanh(ops::kGeluC * (x + ops::kGeluA * x3));
   const float dinner = ops::kGeluC * (1.0f + 3.0f * ops::kGeluA * x * x);
   return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+}
+
+Variable SplitHeads(const Variable& x, int64_t num_heads) {
+  const int64_t b = x.dim(0);
+  const int64_t t = x.dim(1);
+  Variable r =
+      autograd::Reshape(x, {b, t, num_heads, x.dim(2) / num_heads});
+  return autograd::Permute(r, {0, 2, 1, 3});  // [B, heads, T, dh]
+}
+
+Variable MergeHeads(const Variable& x) {
+  const int64_t b = x.dim(0);
+  const int64_t t = x.dim(2);
+  return autograd::PermuteReshape(x, {0, 2, 1, 3},
+                                  {b, t, x.dim(1) * x.dim(3)});
+}
+
+Variable AttentionReference(const nn::MultiHeadAttention& attn,
+                            const Variable& query, const Variable& kv,
+                            const Tensor& mask, float dropout_p, bool train,
+                            Rng* rng) {
+  namespace ag = autograd;
+  const int64_t heads = attn.num_heads();
+  Variable q = SplitHeads(attn.wq().Forward(query), heads);  // [B, h, Tq, dh]
+  Variable k = SplitHeads(attn.wk().Forward(kv), heads);     // [B, h, Tk, dh]
+  Variable v = SplitHeads(attn.wv().Forward(kv), heads);     // [B, h, Tk, dh]
+
+  const float scale = 1.0f / std::sqrt(static_cast<float>(attn.head_dim()));
+  Variable scores =
+      ag::MulScalar(ag::MatMul(q, k, false, true), scale);  // [B, h, Tq, Tk]
+
+  Variable probs = mask.size() > 0 ? ag::MaskedSoftmax(scores, mask)
+                                   : ag::Softmax(scores);
+  probs = ag::Dropout(probs, dropout_p, train, rng);
+
+  Variable context = ag::MatMul(probs, v);  // [B, h, Tq, dh]
+  return attn.wo().Forward(MergeHeads(context));
 }
 
 }  // namespace reference

@@ -20,16 +20,18 @@
 #include "obs/json.h"
 #include "pretrain/model_zoo.h"
 #include "quant/quantize_matcher.h"
-#include "serve/activation_cache.h"
+#include "serve/lru_cache.h"
 #include "serve/matcher_engine.h"
 #include "serve/serving_metrics.h"
-#include "serve/token_cache.h"
 #include "tensor/variable.h"
 #include "util/rng.h"
 
 namespace emx {
 namespace serve {
 namespace {
+
+/// The engine's token cache: entity ids charged one unit each.
+using TokenCache = LruCache<std::vector<int64_t>>;
 
 /// Shared matcher for the engine tests. Weights are random
 /// (skip_pretraining) but deterministic, which is all batching/status
@@ -67,6 +69,36 @@ class ServeFixture : public ::testing::Test {
   }
 
   static void TearDownTestSuite() { std::filesystem::remove_all(kCacheDir); }
+
+  /// Tokenizes `text` through `cache` the way the engine does.
+  static std::shared_ptr<const std::vector<int64_t>> Tokenize(
+      TokenCache* cache, const std::string& text, bool* hit) {
+    return cache->GetOrCompute(
+        text, [&] { return Matcher()->tokenizer().Encode(text); }, hit);
+  }
+
+  /// Pairs whose entities both tokenize to more than kSeqLen / 2 tokens, so
+  /// longest-first truncation trims both sides.
+  static std::vector<std::pair<std::string, std::string>> TruncatingPairs() {
+    std::vector<std::pair<std::string, std::string>> pairs = {
+        {"samsung galaxy tab s9 ultra 14.6 inch amoled tablet 512gb "
+         "graphite with s pen keyboard cover wifi 6e snapdragon 8 gen 2 "
+         "android 13 quad speakers fast charging",
+         "galaxy tab s9 ultra by samsung 14.6in dynamic amoled 2x display "
+         "512 gb storage 12 gb ram graphite color includes s pen and book "
+         "cover keyboard wireless tablet"},
+        {"bosch 800 series 24 inch built in dishwasher stainless steel "
+         "crystaldry third rack 42 dba quiet wifi connected home",
+         "dishwasher bosch 800 series shx78cm5n stainless 24 in crystal dry "
+         "3rd rack flexible 42 decibel quietest home connect app control "
+         "energy star certified"},
+    };
+    for (const auto& [a, b] : pairs) {
+      EXPECT_GT(Matcher()->tokenizer().Encode(a).size(), kSeqLen / 2) << a;
+      EXPECT_GT(Matcher()->tokenizer().Encode(b).size(), kSeqLen / 2) << b;
+    }
+    return pairs;
+  }
 };
 
 // ---- Micro-batching --------------------------------------------------------
@@ -194,61 +226,58 @@ TEST_F(ServeFixture, ShutdownDrainsQueuedRequests) {
   EXPECT_TRUE(f2.get().status.ok());
 }
 
-// ---- Tokenization cache ----------------------------------------------------
+// ---- Entity tokenization cache --------------------------------------------
 
 TEST_F(ServeFixture, TokenCacheLruEviction) {
-  TokenizationCache cache(&Matcher()->tokenizer(), /*capacity=*/2, kSeqLen);
+  TokenCache cache(/*budget=*/2, Budget::kEntries);
   bool hit = true;
-  cache.Get("alpha", "one", &hit);
+  Tokenize(&cache, "alpha one", &hit);
   EXPECT_FALSE(hit);
-  cache.Get("beta", "two", &hit);
+  Tokenize(&cache, "beta two", &hit);
   EXPECT_FALSE(hit);
-  cache.Get("alpha", "one", &hit);  // promotes alpha
+  Tokenize(&cache, "alpha one", &hit);  // promotes alpha
   EXPECT_TRUE(hit);
-  cache.Get("gamma", "three", &hit);  // evicts beta (least recent)
+  Tokenize(&cache, "gamma three", &hit);  // evicts beta (least recent)
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.size(), 2);
-  cache.Get("alpha", "one", &hit);
+  EXPECT_EQ(cache.evictions(), 1);
+  Tokenize(&cache, "alpha one", &hit);
   EXPECT_TRUE(hit);
-  cache.Get("beta", "two", &hit);
+  Tokenize(&cache, "beta two", &hit);
   EXPECT_FALSE(hit);  // was evicted
 }
 
 TEST_F(ServeFixture, TokenCacheCapacityOneStillCaches) {
   // The degenerate single-slot LRU: every insert evicts the previous
   // entry, but a repeated key in a row still hits.
-  TokenizationCache cache(&Matcher()->tokenizer(), /*capacity=*/1, kSeqLen);
+  TokenCache cache(/*budget=*/1, Budget::kEntries);
   bool hit = true;
-  cache.Get("alpha", "one", &hit);
+  Tokenize(&cache, "alpha one", &hit);
   EXPECT_FALSE(hit);
-  cache.Get("alpha", "one", &hit);
+  Tokenize(&cache, "alpha one", &hit);
   EXPECT_TRUE(hit);
-  cache.Get("beta", "two", &hit);
+  Tokenize(&cache, "beta two", &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.size(), 1);
-  cache.Get("alpha", "one", &hit);
+  Tokenize(&cache, "alpha one", &hit);
   EXPECT_FALSE(hit);  // evicted by beta
   EXPECT_EQ(cache.size(), 1);
 }
 
 TEST_F(ServeFixture, TokenCacheZeroCapacityDisablesCaching) {
-  // Zero capacity must disable caching, not crash: every Get tokenizes
+  // Zero capacity must disable caching, not crash: every lookup tokenizes
   // fresh, reports a miss and stores nothing.
-  TokenizationCache cache(&Matcher()->tokenizer(), /*capacity=*/0, kSeqLen);
+  TokenCache cache(/*budget=*/0, Budget::kEntries);
   bool hit = true;
-  CachedEncoding c = cache.Get("asus zenbook", "zenbook by asus", &hit);
+  auto ids = Tokenize(&cache, "asus zenbook", &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.size(), 0);
-  cache.Get("asus zenbook", "zenbook by asus", &hit);
+  Tokenize(&cache, "asus zenbook", &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.size(), 0);
-  // The uncached encoding is still correct, length included.
-  tokenizers::EncodedPair direct = Matcher()->tokenizer().EncodePair(
-      "asus zenbook", "zenbook by asus", kSeqLen);
-  EXPECT_EQ(c.enc.ids, direct.ids);
-  int64_t real = 0;
-  for (float pad : direct.attention_mask) real += pad == 0.0f ? 1 : 0;
-  EXPECT_EQ(c.length, real);
+  EXPECT_EQ(cache.resident_bytes(), 0);
+  // The uncached tokenization is still correct.
+  EXPECT_EQ(*ids, Matcher()->tokenizer().Encode("asus zenbook"));
 }
 
 TEST_F(ServeFixture, EngineWithCacheDisabledStillServes) {
@@ -263,17 +292,23 @@ TEST_F(ServeFixture, EngineWithCacheDisabledStillServes) {
   EXPECT_EQ(m.cache_misses, 2);
 }
 
-TEST_F(ServeFixture, CachedEncodingMatchesDirectTokenization) {
-  TokenizationCache cache(&Matcher()->tokenizer(), 8, kSeqLen);
-  CachedEncoding c = cache.Get("asus zenbook 14", "zenbook 14 by asus");
-  tokenizers::EncodedPair direct =
-      Matcher()->tokenizer().EncodePair("asus zenbook 14", "zenbook 14 by asus",
-                                        kSeqLen);
-  EXPECT_EQ(c.enc.ids, direct.ids);
-  EXPECT_EQ(c.enc.segment_ids, direct.segment_ids);
-  int64_t real = 0;
-  for (float pad : direct.attention_mask) real += pad == 0.0f ? 1 : 0;
-  EXPECT_EQ(c.length, real);
+TEST_F(ServeFixture, TruncateThenAssembleMatchesEncodePair) {
+  // The engine tokenizes each entity once, truncates with TruncatePair and
+  // lays the pair out with AssemblePair; that must be EncodePair's output
+  // exactly, on short pairs and on pairs that truncate both sides.
+  std::vector<std::pair<std::string, std::string>> pairs = TruncatingPairs();
+  pairs.emplace_back("asus zenbook 14", "zenbook 14 by asus");
+  const tokenizers::Tokenizer& tok = Matcher()->tokenizer();
+  for (const auto& [a, b] : pairs) {
+    std::vector<int64_t> ia = tok.Encode(a);
+    std::vector<int64_t> ib = tok.Encode(b);
+    tokenizers::TruncatePair(&ia, &ib, kSeqLen - 3);
+    const tokenizers::EncodedPair assembled = tok.AssemblePair(ia, ib, kSeqLen);
+    const tokenizers::EncodedPair direct = tok.EncodePair(a, b, kSeqLen);
+    EXPECT_EQ(assembled.ids, direct.ids) << a;
+    EXPECT_EQ(assembled.segment_ids, direct.segment_ids) << a;
+    EXPECT_EQ(assembled.attention_mask, direct.attention_mask) << a;
+  }
 }
 
 TEST_F(ServeFixture, EngineReportsCacheHits) {
@@ -351,6 +386,12 @@ TEST_F(ServeFixture, EngineProbabilityMatchesDirectMatchProbability) {
   const double direct = Matcher()->MatchProbability(a, b);
   EXPECT_NEAR(served.probability, direct, 1e-6);
   EXPECT_EQ(served.is_match, direct >= 0.5);
+  for (const auto& [ta, tb] : TruncatingPairs()) {
+    MatchResult r = engine.Match(ta, tb);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_NEAR(r.probability, Matcher()->MatchProbability(ta, tb), 1e-6)
+        << ta;
+  }
 }
 
 // ---- Checkpoint round-trip -------------------------------------------------
@@ -471,25 +512,6 @@ TEST_F(ServeFixture, Int8EngineHonorsDeadlinesAndShutdown) {
             StatusCode::kUnavailable);
 }
 
-// ---- Percentiles -----------------------------------------------------------
-
-TEST(PercentileTest, LinearInterpolationOnSmallSamples) {
-  // Regression for the nearest-rank +0.5 rounding bug: a 2-sample buffer
-  // at q=0.5 returned the max instead of the midpoint.
-  EXPECT_EQ(Percentile({1.0, 2.0}, 0.5), 1.5);
-  EXPECT_EQ(Percentile({}, 0.5), 0.0);
-  EXPECT_EQ(Percentile({7.0}, 0.99), 7.0);
-  const std::vector<double> v = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_EQ(Percentile(v, 0.0), 10.0);
-  EXPECT_EQ(Percentile(v, 1.0), 40.0);
-  EXPECT_EQ(Percentile(v, 0.5), 25.0);
-  EXPECT_EQ(Percentile(v, 0.25), 17.5);
-  EXPECT_EQ(Percentile(v, 0.75), 32.5);
-  // Out-of-range quantiles clamp instead of indexing out of bounds.
-  EXPECT_EQ(Percentile(v, -0.5), 10.0);
-  EXPECT_EQ(Percentile(v, 2.0), 40.0);
-}
-
 // ---- Metrics ---------------------------------------------------------------
 
 TEST_F(ServeFixture, MetricsJsonCarriesServingCounters) {
@@ -580,43 +602,6 @@ TEST(ServingMetricsTest, BatchHistogramKeepsSlotZeroAndMarksOverflow) {
   EXPECT_EQ(v.Find("batch_size_histogram")->array.size(), 5u);
   EXPECT_DOUBLE_EQ(v.Find("batch_size_histogram")->array[0].number, 1);
   EXPECT_DOUBLE_EQ(v.Find("batch_overflow")->number, 1);
-}
-
-TEST(ServingMetricsTest, ConcurrentCompletionsAndSnapshotsAreClean) {
-  // The latency ring is lock-free: completions must never block behind a
-  // Snapshot() copying the window, and concurrent access must be TSan-clean
-  // (this test runs in the CI thread-sanitizer job). Every sample observed
-  // by any snapshot has to be a value some completion actually recorded.
-  ServingMetrics sm(/*max_batch_size=*/8);
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 5000;
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&sm, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        sm.RecordCompletion(100.0 + w);  // values in {100, 101, 102, 103}
-      }
-    });
-  }
-  std::thread snapshotter([&sm, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      MetricsSnapshot s = sm.Snapshot(/*queue_depth=*/0);
-      EXPECT_GE(s.p50_latency_us, 0.0);
-      EXPECT_LE(s.max_latency_us, 103.0);
-    }
-  });
-  for (auto& t : writers) t.join();
-  stop.store(true, std::memory_order_relaxed);
-  snapshotter.join();
-
-  MetricsSnapshot s = sm.Snapshot(/*queue_depth=*/0);
-  EXPECT_EQ(s.completed, kWriters * kPerWriter);
-  // All 20000 completions outnumber the 8192-slot window, so the window is
-  // full and every slot holds one of the recorded values.
-  EXPECT_GE(s.p50_latency_us, 100.0);
-  EXPECT_LE(s.p99_latency_us, 103.0);
 }
 
 TEST(ServingMetricsTest, RegistryMigrationPreservesCounterMeaning) {
@@ -729,7 +714,9 @@ TEST_F(ServeFixture, SplitK0BitIdenticalToFullPathFp32) {
       {"rayban aviator sunglasses gold", "ray-ban aviator classic gold 58mm"},
       {"a", "b"},  // degenerate one-token entities
   };
-  for (const auto& [a, b] : pairs) {
+  std::vector<std::pair<std::string, std::string>> all = pairs;
+  for (auto& p : TruncatingPairs()) all.push_back(std::move(p));
+  for (const auto& [a, b] : all) {
     MatchResult rf = full.Match(a, b);
     MatchResult rs = split.Match(a, b);
     ASSERT_TRUE(rf.status.ok()) << rf.status.ToString();
@@ -791,10 +778,11 @@ TEST_F(ServeFixture, SplitK0BitIdenticalInt8) {
   split_opts.split_layer = 0;
   MatcherEngine split(&matcher, split_opts);
 
-  const std::vector<std::pair<std::string, std::string>> pairs = {
+  std::vector<std::pair<std::string, std::string>> pairs = {
       {"garmin forerunner 255", "forerunner 255 gps watch"},
       {"garmin forerunner 255", "weber spirit gas grill"},
   };
+  for (auto& p : TruncatingPairs()) pairs.push_back(std::move(p));
   for (const auto& [a, b] : pairs) {
     MatchResult rf = full.Match(a, b);
     MatchResult rs = split.Match(a, b);
@@ -879,34 +867,42 @@ TEST_F(ServeFixture, SplitMetricsJsonCarriesPrefixCounters) {
 }
 
 TEST(ActivationCacheTest, EvictsLruUnderBytePressure) {
-  // Budget for roughly two of the three entries: inserting the third must
-  // evict the least recently used, byte accounting staying exact.
+  // The engine's prefix cache: tensors charged their resident bytes. Budget
+  // for roughly two of the three entries: inserting the third must evict
+  // the least recently used, byte accounting staying exact.
   const int64_t entry = 4 * 8 * static_cast<int64_t>(sizeof(float)) +
                         /*key*/ 2 + /*overhead*/ 160;
-  ActivationCache cache(2 * entry + entry / 2);
+  LruCache<Tensor> cache(2 * entry + entry / 2, Budget::kBytes);
 
   auto p1 = cache.Put("k1", Tensor::Full({1, 4, 8}, 1.0f));
   auto p2 = cache.Put("k2", Tensor::Full({1, 4, 8}, 2.0f));
   ASSERT_TRUE(p1 != nullptr);
   EXPECT_EQ(cache.Stats().entries, 2);
   EXPECT_EQ(cache.Stats().evictions, 0);
+  EXPECT_EQ(cache.Stats().resident_bytes, 2 * entry);
 
   EXPECT_TRUE(cache.Get("k1") != nullptr);  // promote k1; k2 is now LRU
   auto p3 = cache.Put("k3", Tensor::Full({1, 4, 8}, 3.0f));
-  ActivationCacheStats s = cache.Stats();
+  CacheStats s = cache.Stats();
   EXPECT_EQ(s.evictions, 1);
   EXPECT_EQ(s.entries, 2);
+  EXPECT_EQ(s.resident_bytes, 2 * entry);
   EXPECT_TRUE(cache.Get("k2") == nullptr) << "LRU entry must be gone";
   EXPECT_TRUE(cache.Get("k1") != nullptr);
   EXPECT_TRUE(cache.Get("k3") != nullptr);
   // The evicted entry's shared_ptr (held by a hypothetical in-flight
   // request) stays valid after eviction.
   EXPECT_EQ((*p2)[0], 2.0f);
-  EXPECT_LE(s.resident_bytes, cache.max_bytes());
+  EXPECT_LE(s.resident_bytes, cache.budget());
+
+  // An entry larger than the whole budget is handed back but not kept.
+  auto big = cache.Put("big", Tensor::Full({1, 64, 8}, 4.0f));
+  EXPECT_EQ((*big)[0], 4.0f);
+  EXPECT_TRUE(cache.Get("big") == nullptr);
 }
 
 TEST(ActivationCacheTest, ZeroBudgetDisablesStorageNotCorrectness) {
-  ActivationCache cache(0);
+  LruCache<Tensor> cache(0, Budget::kBytes);
   auto p = cache.Put("k", Tensor::Full({1, 2, 2}, 5.0f));
   ASSERT_TRUE(p != nullptr);       // caller still gets its tensor back
   EXPECT_EQ((*p)[0], 5.0f);
@@ -915,13 +911,33 @@ TEST(ActivationCacheTest, ZeroBudgetDisablesStorageNotCorrectness) {
 }
 
 TEST(ActivationCacheTest, FirstInsertWinsOnRacingPuts) {
-  ActivationCache cache(1 << 20);
+  LruCache<Tensor> cache(1 << 20, Budget::kBytes);
   auto first = cache.Put("k", Tensor::Full({1, 2, 2}, 1.0f));
   auto second = cache.Put("k", Tensor::Full({1, 2, 2}, 2.0f));
   // The loser of the race is handed the winner's tensor so every caller
   // computes on the same bits.
   EXPECT_EQ((*second)[0], 1.0f);
   EXPECT_EQ(cache.Stats().entries, 1);
+}
+
+TEST(LruCacheTest, ObsHooksTrackEvictionsAndBytes) {
+  obs::MetricsRegistry registry;
+  obs::Counter* evictions = registry.GetCounter("evictions");
+  obs::Gauge* bytes = registry.GetGauge("bytes");
+  TokenCache cache(/*budget=*/2, Budget::kEntries, evictions, bytes);
+  cache.Put("a", {1, 2});
+  cache.Put("b", {3});
+  cache.Put("c", {4, 5, 6});  // evicts "a"
+  EXPECT_EQ(evictions->Value(), 1);
+  EXPECT_EQ(cache.evictions(), 1);
+  // Entries are charged one unit each, but bytes are still reported.
+  const int64_t expected = (1 + 8 + 160) + (1 + 24 + 160);
+  EXPECT_EQ(cache.resident_bytes(), expected);
+  EXPECT_DOUBLE_EQ(bytes->Value(), static_cast<double>(expected));
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0);
+  EXPECT_DOUBLE_EQ(bytes->Value(), 0);
+  EXPECT_EQ(evictions->Value(), 1);  // cumulative across Clear
 }
 
 TEST_F(ServeFixture, SplitConcurrentHammer) {
