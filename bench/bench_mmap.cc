@@ -3,19 +3,20 @@
 //
 // Four sections, four gates, written to BENCH_mmap.json:
 //
-//   1. Cold start — time from opening the checkpoint(s) to the first
-//      int8 match probability. Parse-on-load (EMXP fp32 parse + EMXQ
-//      int8 parse + repack + derived-state recompute) vs one EMXM1
-//      container (fp32 parameters, packed int8 weights and their col_sums
-//      all served zero-copy from the mapped pages).
-//      GATE: mmap open-to-first-inference >= 10x faster (>= 1.5x in
-//      --smoke, where the model is small enough that the shared first
-//      forward dominates both paths).
+//   1. Cold start — time from opening the model file to the first int8
+//      match probability, served zero-copy from the mapped pages (fp32
+//      parameters, packed int8 weights and their col_sums). Reported, not
+//      gated: the property it stands for is that the load reads only what
+//      inference touches, which the residency gate checks directly.
+//      GATE: after the load and the first inference, the container
+//      mapping's Rss (from /proc/self/smaps) is <= 25% of the file. A
+//      loader that copies or touches every weight reaches ~100%.
 //
-//   2. Exactness — the mapped matcher must be indistinguishable from the
-//      parsed one: MatchProbability identical (==, not NEAR) on every
-//      probe pair, fp32 AND int8, against both the original in-memory
-//      matcher and the EMXP+EMXQ parse path.
+//   2. Exactness — the mapped matcher and an owned EntityMatcher::Load of
+//      the same file must be indistinguishable from the in-memory
+//      original: MatchProbability identical (==, not NEAR) on every probe
+//      pair, fp32 for both loads and int8 for the mapped one (the owned
+//      load copies fp32 parameters only).
 //      GATE: zero mismatches.
 //
 //   3. Hot-swap hammer — client threads hammer a serving engine while a
@@ -35,7 +36,8 @@
 // Knobs:
 //   EMX_MMAP_LAYERS   encoder depth   (default 4; smoke 2)
 //   EMX_MMAP_HIDDEN   encoder width   (default 512; smoke 64)
-//   EMX_MMAP_REPS     cold-start reps, median reported (default 3)
+//   EMX_MMAP_REPS     cold-start reps, median time and worst residency
+//                     reported (default 3)
 //   EMX_CACHE_DIR     tokenizer/zoo cache (default /tmp/emx_zoo_bench)
 
 #include <sys/stat.h>
@@ -119,7 +121,7 @@ double MedianMs(std::vector<double> ms) {
   return ms[ms.size() / 2];
 }
 
-// ---- Section 4: fork two mappers, read Pss/Rss from smaps ------------------
+// ---- Sections 1 and 4: Rss/Pss of a mapping from smaps ---------------------
 
 struct ShareSample {
   int64_t rss_kb = 0;
@@ -156,9 +158,14 @@ ShareSample ReadSmaps(const std::string& needle) {
 std::vector<ShareSample> MeasureSharing(const std::string& path,
                                         int children) {
   // ready: children -> parent ("mapped and touched"); go: parent ->
-  // children ("everyone is up; measure now"); result: samples back.
-  int ready[2], go[2], result[2];
-  if (pipe(ready) != 0 || pipe(go) != 0 || pipe(result) != 0) return {};
+  // children ("everyone is up; measure now"); result: samples back; done:
+  // parent -> children ("everyone has measured; exit now"), so no child
+  // unmaps while another is still reading its smaps.
+  int ready[2], go[2], result[2], done[2];
+  if (pipe(ready) != 0 || pipe(go) != 0 || pipe(result) != 0 ||
+      pipe(done) != 0) {
+    return {};
+  }
   std::vector<pid_t> pids;
   for (int c = 0; c < children; ++c) {
     const pid_t pid = fork();
@@ -177,6 +184,7 @@ std::vector<ShareSample> MeasureSharing(const std::string& path,
       (void)!read(go[0], &ch, 1);
       ShareSample s = ReadSmaps(path);
       (void)!write(result[1], &s, sizeof(s));
+      (void)!read(done[0], &ch, 1);
       _exit(0);
     }
     pids.push_back(pid);
@@ -195,8 +203,13 @@ std::vector<ShareSample> MeasureSharing(const std::string& path,
     ShareSample s;
     if (read(result[0], &s, sizeof(s)) == sizeof(s)) samples.push_back(s);
   }
+  for (int c = 0; c < children; ++c) {
+    char ch = 'd';
+    (void)!write(done[1], &ch, 1);
+  }
   for (pid_t pid : pids) waitpid(pid, nullptr, 0);
-  for (int fd : {ready[0], ready[1], go[0], go[1], result[0], result[1]}) {
+  for (int fd : {ready[0], ready[1], go[0], go[1], result[0], result[1],
+                 done[0], done[1]}) {
     close(fd);
   }
   if (!all_mapped) samples.clear();
@@ -216,22 +229,20 @@ int main(int argc, char** argv) {
   const int64_t layers = bench::EnvInt("EMX_MMAP_LAYERS", smoke ? 2 : 4);
   const int64_t hidden = bench::EnvInt("EMX_MMAP_HIDDEN", smoke ? 64 : 512);
   const int64_t reps = bench::EnvInt("EMX_MMAP_REPS", 3);
-  const double speedup_floor = smoke ? 1.5 : 10.0;
+  constexpr double kResidentCeiling = 0.25;
 
   pretrain::ZooOptions zoo = bench::BenchZoo();
   zoo.skip_pretraining = true;
 
   const std::string dir = "/tmp/emx_mmap_bench";
   ::mkdir(dir.c_str(), 0755);
-  const std::string emxp = dir + "/model.emxp";
-  const std::string emxq = dir + "/model.emxq";
   const std::string emxm = dir + "/model.emxm";
 
   std::printf("bench_mmap: %lld layers x %lld hidden%s\n",
               static_cast<long long>(layers), static_cast<long long>(hidden),
               smoke ? " (smoke)" : "");
 
-  // ---- Reference matcher: quantize, then save all three formats ----------
+  // ---- Reference matcher: quantize, then save the model file -------------
   auto ref = BuildMatcher(zoo, layers, hidden, /*seed=*/17);
   if (ref == nullptr) return 1;
   {
@@ -247,73 +258,56 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  for (const auto& [what, s] :
-       {std::pair<const char*, Status>{"EMXP", ref->Save(emxp)},
-        {"EMXQ", quant::SaveQuantized(ref.get(), emxq)},
-        {"EMXM", quant::SaveModelFile(ref.get(), emxm)}}) {
-    if (!s.ok()) {
-      std::printf("error: save %s: %s\n", what, s.ToString().c_str());
-      return 1;
-    }
+  if (Status s = quant::SaveModelFile(ref.get(), emxm); !s.ok()) {
+    std::printf("error: save: %s\n", s.ToString().c_str());
+    return 1;
   }
   struct stat st;
   const int64_t emxm_bytes = ::stat(emxm.c_str(), &st) == 0 ? st.st_size : 0;
 
-  // ---- Section 1: cold start ----------------------------------------------
+  // ---- Section 1: cold start and residency --------------------------------
   // The first inference is a minimal readiness ping — a short pair padded
   // to kPingSeqLen rather than the serving max_seq_len, because what this
-  // section measures is time-to-servable, not steady-state latency. The
-  // ping cost is identical on both paths (same tokens, same kernels), so
-  // a longer probe would only dilute the load-time difference.
+  // section measures is time-to-servable, not steady-state latency.
   const int64_t kPingSeqLen = 8;
   const std::pair<std::string, std::string> ping{"acer", "acer"};
   const auto probe = ProbePairs();
-  std::vector<double> parse_ms_runs, mmap_ms_runs;
+  std::vector<double> mmap_ms_runs;
+  int64_t resident_kb = 0;  // worst rep; 0 if smaps never showed the map
   for (int64_t r = 0; r < reps; ++r) {
-    {
-      auto m = BuildMatcher(zoo, layers, hidden, /*seed=*/29 + r);
-      m->set_eval_max_seq_len(kPingSeqLen);
-      Timer t;
-      if (Status s = m->Load(emxp); !s.ok()) {
-        std::printf("error: parse load: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      if (Status s = quant::LoadQuantized(m.get(), emxq); !s.ok()) {
-        std::printf("error: parse quant load: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      (void)m->MatchProbability(ping.first, ping.second);
-      parse_ms_runs.push_back(t.ElapsedSeconds() * 1000.0);
+    auto m = BuildMatcher(zoo, layers, hidden, /*seed=*/53 + r);
+    m->set_eval_max_seq_len(kPingSeqLen);
+    Timer t;
+    auto info = quant::LoadModelFileMapped(m.get(), emxm);
+    if (!info.ok()) {
+      std::printf("error: mapped load: %s\n",
+                  info.status().ToString().c_str());
+      return 1;
     }
-    {
-      auto m = BuildMatcher(zoo, layers, hidden, /*seed=*/53 + r);
-      m->set_eval_max_seq_len(kPingSeqLen);
-      Timer t;
-      auto info = quant::LoadModelFileMapped(m.get(), emxm);
-      if (!info.ok()) {
-        std::printf("error: mapped load: %s\n",
-                    info.status().ToString().c_str());
-        return 1;
-      }
-      (void)m->MatchProbability(ping.first, ping.second);
-      mmap_ms_runs.push_back(t.ElapsedSeconds() * 1000.0);
-    }
+    (void)m->MatchProbability(ping.first, ping.second);
+    mmap_ms_runs.push_back(t.ElapsedSeconds() * 1000.0);
+    // Only this rep's matcher maps the file right now.
+    resident_kb = std::max(resident_kb, ReadSmaps(emxm).rss_kb);
   }
-  const double parse_ms = MedianMs(parse_ms_runs);
   const double mmap_ms = MedianMs(mmap_ms_runs);
-  const double speedup = mmap_ms > 0 ? parse_ms / mmap_ms : 0;
-  std::printf("cold start (open -> first int8 inference, median of %lld):\n"
-              "  parse EMXP+EMXQ  %8.2f ms\n"
-              "  mmap  EMXM       %8.2f ms   (%.1fx, container %.1f MB)\n",
-              static_cast<long long>(reps), parse_ms, mmap_ms, speedup,
-              static_cast<double>(emxm_bytes) / (1024.0 * 1024.0));
+  const double resident_share =
+      emxm_bytes > 0 ? static_cast<double>(resident_kb) * 1024.0 /
+                           static_cast<double>(emxm_bytes)
+                     : 1.0;
+  std::printf("cold start (open -> first int8 inference, median of %lld): "
+              "%.2f ms, container %.1f MB, %.1f%% resident\n",
+              static_cast<long long>(reps), mmap_ms,
+              static_cast<double>(emxm_bytes) / (1024.0 * 1024.0),
+              100.0 * resident_share);
 
   // ---- Section 2: exactness -----------------------------------------------
-  auto parsed = BuildMatcher(zoo, layers, hidden, /*seed=*/71);
+  auto owned = BuildMatcher(zoo, layers, hidden, /*seed=*/71);
   auto mapped = BuildMatcher(zoo, layers, hidden, /*seed=*/73);
-  if (parsed == nullptr || mapped == nullptr) return 1;
-  if (Status s = parsed->Load(emxp); !s.ok()) return 1;
-  if (Status s = quant::LoadQuantized(parsed.get(), emxq); !s.ok()) return 1;
+  if (owned == nullptr || mapped == nullptr) return 1;
+  if (Status s = owned->Load(emxm); !s.ok()) {
+    std::printf("error: owned load: %s\n", s.ToString().c_str());
+    return 1;
+  }
   if (auto info = quant::LoadModelFileMapped(mapped.get(), emxm);
       !info.ok() || !info.value().has_int8) {
     std::printf("error: mapped load lost int8 state\n");
@@ -324,15 +318,15 @@ int main(int argc, char** argv) {
     {
       nn::QuantModeGuard fp32_only(false);
       const double p_ref = ref->MatchProbability(a, b);
-      if (parsed->MatchProbability(a, b) != p_ref) ++mismatches;
+      if (owned->MatchProbability(a, b) != p_ref) ++mismatches;
       if (mapped->MatchProbability(a, b) != p_ref) ++mismatches;
     }
-    const double q_ref = ref->MatchProbability(a, b);
-    if (parsed->MatchProbability(a, b) != q_ref) ++mismatches;
-    if (mapped->MatchProbability(a, b) != q_ref) ++mismatches;
+    if (mapped->MatchProbability(a, b) != ref->MatchProbability(a, b)) {
+      ++mismatches;
+    }
   }
-  std::printf("exactness: %lld mismatches over %zu pairs x {fp32, int8} x "
-              "{parsed, mapped}\n",
+  std::printf("exactness: %lld mismatches over %zu pairs x {fp32 owned, "
+              "fp32 mapped, int8 mapped}\n",
               static_cast<long long>(mismatches), probe.size());
 
   // ---- Section 3: hot-swap under traffic ----------------------------------
@@ -440,17 +434,18 @@ int main(int argc, char** argv) {
   }
 
   // ---- Gates --------------------------------------------------------------
-  const bool cold_ok = speedup >= speedup_floor;
+  const bool resident_ok =
+      resident_kb > 0 && resident_share <= kResidentCeiling;
   const bool exact_ok = mismatches == 0;
   const bool swap_ok = request_failures == 0 && swap_failures == 0 &&
                        swap_count >= 2 && versions_seen >= 2;
   const bool share_ok = shares.size() == 2 && all_resident &&
                         worst_share <= 0.7;
-  const bool gates_pass = cold_ok && exact_ok && swap_ok && share_ok;
-  std::printf("gates: cold start >= %.1fx %s, bit-identical %s, "
-              "zero-drop hot-swap %s, pages shared (pss/rss <= 0.7) %s — "
-              "%s\n",
-              speedup_floor, cold_ok ? "PASS" : "FAIL",
+  const bool gates_pass = resident_ok && exact_ok && swap_ok && share_ok;
+  std::printf("gates: resident after first inference <= %.0f%% %s, "
+              "bit-identical %s, zero-drop hot-swap %s, pages shared "
+              "(pss/rss <= 0.7) %s — %s\n",
+              100.0 * kResidentCeiling, resident_ok ? "PASS" : "FAIL",
               exact_ok ? "PASS" : "FAIL", swap_ok ? "PASS" : "FAIL",
               share_ok ? "PASS" : "FAIL", gates_pass ? "PASS" : "FAIL");
 
@@ -465,10 +460,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"hidden\": %lld,\n", static_cast<long long>(hidden));
   std::fprintf(out, "  \"container_bytes\": %lld,\n",
                static_cast<long long>(emxm_bytes));
-  std::fprintf(out, "  \"cold_start_parse_ms\": %.2f,\n", parse_ms);
   std::fprintf(out, "  \"cold_start_mmap_ms\": %.2f,\n", mmap_ms);
-  std::fprintf(out, "  \"cold_start_speedup\": %.2f,\n", speedup);
-  std::fprintf(out, "  \"cold_start_floor\": %.1f,\n", speedup_floor);
+  std::fprintf(out, "  \"cold_start_resident_share\": %.3f,\n",
+               resident_share);
+  std::fprintf(out, "  \"cold_start_resident_ceiling\": %.2f,\n",
+               kResidentCeiling);
   std::fprintf(out, "  \"exactness_mismatches\": %lld,\n",
                static_cast<long long>(mismatches));
   std::fprintf(out, "  \"swaps\": %lld,\n", static_cast<long long>(swap_count));

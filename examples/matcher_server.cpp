@@ -284,7 +284,9 @@ bool FinishTrace(const std::string& path, const std::string& metrics_json) {
     std::printf("error: trace has no traceEvents\n");
     return false;
   }
-  if (!obs::JsonParse(metrics_json, &doc, &error)) {
+  // A second document: `events` points into `doc`.
+  obs::JsonValue metrics;
+  if (!obs::JsonParse(metrics_json, &metrics, &error)) {
     std::printf("error: metrics snapshot is not strict JSON: %s\n",
                 error.c_str());
     return false;

@@ -1,6 +1,7 @@
 #include "core/entity_matcher.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "nn/optimizer.h"
@@ -291,7 +292,24 @@ bool EntityMatcher::Match(std::string_view text_a, std::string_view text_b) {
 }
 
 Status EntityMatcher::Save(const std::string& path) {
-  return nn::SaveParameters(path, classifier_->Parameters());
+  return Save(path, [](io::EmxmWriter*) { return Status::OK(); });
+}
+
+Status EntityMatcher::Save(
+    const std::string& path,
+    const std::function<Status(io::EmxmWriter*)>& add_sections) {
+  io::EmxmWriter writer;
+  const std::vector<nn::NamedParam> params = classifier_->Parameters();
+  EMX_RETURN_IF_ERROR(nn::AppendParametersEmxm(&writer, params));
+  EMX_RETURN_IF_ERROR(add_sections(&writer));
+  std::array<uint64_t, 6> aux{};
+  aux[0] = params.size();
+  aux[1] = writer.count(io::SectionKind::kInt8Packed);
+  aux[2] = writer.count(io::SectionKind::kFfnMeta);
+  const std::string arch = arch_name();
+  writer.AddSection(io::kManifestSection, io::SectionKind::kManifest, aux,
+                    arch.data(), arch.size());
+  return writer.WriteFile(path);
 }
 
 Status EntityMatcher::Load(const std::string& path) {

@@ -9,6 +9,7 @@
 
 #include "data/record.h"
 #include "eval/metrics.h"
+#include "io/emxm.h"
 #include "models/classifier.h"
 #include "pretrain/model_zoo.h"
 #include "tokenizers/tokenizer.h"
@@ -124,8 +125,20 @@ class EntityMatcher {
   int64_t eval_max_seq_len() const { return eval_max_seq_len_; }
   void set_eval_max_seq_len(int64_t n) { eval_max_seq_len_ = n; }
 
-  /// Persists / restores all weights (backbone + head).
+  /// Writes the model file: one EMXM1 container with every weight
+  /// (backbone + head) as an fp32 section and a manifest naming the
+  /// architecture. It loads back owned (Load) or mapped
+  /// (quant::LoadModelFileMapped).
   Status Save(const std::string& path);
+  /// Save with `add_sections` run between the fp32 sections and the
+  /// manifest, which counts the int8 sections it added — how
+  /// quant::SaveModelFile writes a quantized matcher. Payloads it adds
+  /// are borrowed until this returns.
+  Status Save(const std::string& path,
+              const std::function<Status(io::EmxmWriter*)>& add_sections);
+  /// Copies every weight out of a model file (or any container with the
+  /// same "p:" sections) into heap tensors, so the matcher stays
+  /// trainable. int8 sections are ignored.
   Status Load(const std::string& path);
 
   /// Builds a model batch from serialized text pairs (exposed for tests).

@@ -36,6 +36,12 @@ void EmxmWriter::AddSection(std::string name, SectionKind kind,
       Pending{std::move(name), kind, aux, payload, payload_bytes});
 }
 
+uint64_t EmxmWriter::count(SectionKind kind) const {
+  return static_cast<uint64_t>(
+      std::count_if(sections_.begin(), sections_.end(),
+                    [kind](const Pending& p) { return p.kind == kind; }));
+}
+
 Status EmxmWriter::WriteFile(const std::string& path) const {
   // Lay out the whole file first so the header and table are final before
   // the first byte is written.

@@ -31,14 +31,15 @@ namespace io {
 //   | ...                         |
 //   +-----------------------------+  header.file_bytes == file size
 //
-// Every multi-byte field is little-endian. The earlier "EMXP"/"EMXQ"
-// formats wrote host-endian structs through ofstream, which happened to be
-// LE on every machine this repo targets but was an accident of the build
-// host; the container makes the contract explicit and enforces it at
-// compile time (the static_asserts below), so a mapped file is readable
-// by pointer on any supported platform with zero parsing. Payloads are
-// 64-byte aligned so an int8 weight tile or an fp32 tensor row can be
-// loaded with aligned SIMD instructions straight out of the mapping.
+// Every multi-byte field is little-endian, a contract enforced at compile
+// time (the static_asserts below), so a mapped file is readable by pointer
+// on any supported platform with zero parsing. Payloads are 64-byte
+// aligned so an int8 weight tile or an fp32 tensor row can be loaded with
+// aligned SIMD instructions straight out of the mapping.
+//
+// A model file is a container with a "p:<name>" kF32Tensor section per
+// parameter, the int8 sections of a quantized matcher if it has them, and
+// a kManifest section named kManifestSection.
 
 static_assert(std::endian::native == std::endian::little,
               "EMXM1 containers are little-endian and read in place; "
@@ -78,6 +79,9 @@ enum class SectionKind : uint32_t {
   /// aux = {fp32 tensor count, int8 linear count, ffn count}.
   kManifest = 6,
 };
+
+/// Name of a model file's manifest section.
+inline constexpr char kManifestSection[] = "emxm:manifest";
 
 /// Round-trips a float through the u64 aux slots.
 inline uint64_t AuxFromF32(float v) {
@@ -138,9 +142,8 @@ class EmxmWriter {
 
   Status WriteFile(const std::string& path) const;
 
-  int64_t section_count() const {
-    return static_cast<int64_t>(sections_.size());
-  }
+  /// Sections added so far of one kind.
+  uint64_t count(SectionKind kind) const;
 
  private:
   struct Pending {

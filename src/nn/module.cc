@@ -2,25 +2,60 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <map>
 
-#include "io/atomic_file.h"
 #include "io/emxm.h"
-#include "util/logging.h"
 
 namespace emx {
 namespace nn {
 namespace {
 
-constexpr uint32_t kMagic = 0x454d5850;  // "EMXP"
-
-// More parameters than any model this repo can hold in memory; a count
-// beyond this is a corrupt header, not a big model.
-constexpr uint64_t kMaxParamCount = 1ull << 20;
-
 /// prefix for fp32 parameter sections inside an EMXM container.
 std::string ParamSectionName(const std::string& name) { return "p:" + name; }
+
+/// Finds every parameter's section and checks its kind, shape and payload
+/// size against the model, before either loader touches a Variable, so a
+/// bad container leaves the model untouched. The shape comes from the
+/// model, never from the file, so no file field sizes an allocation.
+Result<std::vector<const io::Section*>> ResolveParameters(
+    const io::EmxmReader& reader, const std::vector<NamedParam>& params) {
+  std::vector<const io::Section*> resolved;
+  resolved.reserve(params.size());
+  for (const auto& p : params) {
+    const io::Section* s = reader.Find(ParamSectionName(p.name));
+    if (s == nullptr) {
+      return Status::NotFound("parameter '" + p.name + "' missing in " +
+                              reader.path());
+    }
+    if (s->kind != io::SectionKind::kF32Tensor) {
+      return Status::InvalidArgument("parameter '" + p.name + "' in " +
+                                     reader.path() +
+                                     " is not an fp32 tensor section");
+    }
+    const Tensor& dst_t = p.var.value();
+    const uint64_t ndim = s->aux[0];
+    bool shape_ok = ndim == static_cast<uint64_t>(dst_t.ndim()) && ndim <= 5;
+    uint64_t numel = 1;
+    for (uint64_t i = 0; shape_ok && i < ndim; ++i) {
+      shape_ok = s->aux[1 + i] == static_cast<uint64_t>(dst_t.shape()[i]);
+      numel *= s->aux[1 + i];
+    }
+    if (!shape_ok) {
+      return Status::InvalidArgument(
+          "parameter '" + p.name + "' shape mismatch in " + reader.path() +
+          ": model expects " + ShapeToString(dst_t.shape()));
+    }
+    if (s->bytes != numel * sizeof(float)) {
+      return Status::InvalidArgument("parameter '" + p.name + "' in " +
+                                     reader.path() + " has " +
+                                     std::to_string(s->bytes) +
+                                     " payload bytes for " +
+                                     std::to_string(numel) + " elements");
+    }
+    resolved.push_back(s);
+  }
+  return resolved;
+}
 
 }  // namespace
 
@@ -31,113 +66,24 @@ std::string JoinName(const std::string& prefix, const std::string& leaf) {
 
 Status SaveParameters(const std::string& path,
                       const std::vector<NamedParam>& params) {
-  io::AtomicFileWriter writer(path);
-  EMX_RETURN_IF_ERROR(writer.status());
-  std::ofstream& out = writer.stream();
-  const uint32_t magic = kMagic;
-  const uint64_t count = params.size();
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& p : params) {
-    const uint64_t name_len = p.name.size();
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p.name.data(), static_cast<std::streamsize>(name_len));
-    const Tensor& t = p.var.value();
-    const uint64_t ndim = static_cast<uint64_t>(t.ndim());
-    out.write(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
-    for (int64_t d : t.shape()) {
-      const int64_t dim = d;
-      out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    }
-    out.write(reinterpret_cast<const char*>(t.data()),
-              static_cast<std::streamsize>(t.size() * sizeof(float)));
-  }
-  return writer.Commit();
+  io::EmxmWriter writer;
+  EMX_RETURN_IF_ERROR(AppendParametersEmxm(&writer, params));
+  return writer.WriteFile(path);
 }
 
 Status LoadParameters(const std::string& path,
                       const std::vector<NamedParam>& params) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  // Every length field below is checked against the bytes actually left
-  // in the file *before* anything is allocated, so a corrupt or hostile
-  // header cannot request a multi-GB buffer the payload can never fill.
-  const uint64_t file_bytes = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-  uint64_t consumed = 0;
-  auto remaining = [&] { return file_bytes - consumed; };
-  auto corrupt = [&](const std::string& what) {
-    return Status::InvalidArgument("corrupt parameter file " + path + ": " +
-                                   what);
-  };
-
-  uint32_t magic = 0;
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || magic != kMagic) {
-    return Status::InvalidArgument(path + " is not an emx parameter file");
-  }
-  consumed += sizeof(magic) + sizeof(count);
-  if (count > kMaxParamCount) {
-    return corrupt("implausible parameter count " + std::to_string(count));
-  }
-  std::map<std::string, Tensor> loaded;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    consumed += sizeof(name_len);
-    if (!in || name_len > (1u << 20) || name_len > remaining()) {
-      return corrupt("bad name length");
-    }
-    std::string name(name_len, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name_len));
-    consumed += name_len;
-    uint64_t ndim = 0;
-    in.read(reinterpret_cast<char*>(&ndim), sizeof(ndim));
-    consumed += sizeof(ndim);
-    if (!in || ndim > 8 || ndim * sizeof(int64_t) > remaining()) {
-      return corrupt("bad ndim for '" + name + "'");
-    }
-    Shape shape(ndim);
-    uint64_t numel = 1;
-    for (auto& d : shape) {
-      in.read(reinterpret_cast<char*>(&d), sizeof(d));
-      consumed += sizeof(d);
-      if (!in || d <= 0) return corrupt("bad dim for '" + name + "'");
-      // Overflow-checked product: a pair of plausible-looking dims can
-      // wrap uint64 and make the byte count below look tiny.
-      if (numel > remaining() / static_cast<uint64_t>(d)) {
-        return corrupt("dims overflow for '" + name + "'");
-      }
-      numel *= static_cast<uint64_t>(d);
-    }
-    if (numel * sizeof(float) > remaining()) {
-      return corrupt("payload for '" + name + "' exceeds file size");
-    }
-    Tensor t(shape);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
-    consumed += numel * sizeof(float);
-    if (!in) return Status::IoError("truncated parameter file " + path);
-    loaded.emplace(std::move(name), std::move(t));
-  }
-  for (const auto& p : params) {
-    auto it = loaded.find(p.name);
-    if (it == loaded.end()) {
-      return Status::NotFound("parameter '" + p.name + "' missing in " + path);
-    }
-    if (it->second.shape() != p.var.value().shape()) {
-      return Status::InvalidArgument(
-          "parameter '" + p.name + "' shape mismatch: file has " +
-          ShapeToString(it->second.shape()) + ", model expects " +
-          ShapeToString(p.var.value().shape()));
-    }
-    // Assign the staged tensor wholesale: optimizer state lives on the
+  EMX_ASSIGN_OR_RETURN(std::shared_ptr<const io::EmxmReader> reader,
+                       io::EmxmReader::Open(path));
+  EMX_ASSIGN_OR_RETURN(std::vector<const io::Section*> resolved,
+                       ResolveParameters(*reader, params));
+  for (size_t i = 0; i < params.size(); ++i) {
+    // Assign a fresh heap tensor wholesale: optimizer state lives on the
     // Variable (slots re-fetch mutable_value() each step), and assignment
-    // also restores a mutable heap buffer over a previously mapped
-    // (read-only external) value.
-    const_cast<Variable&>(p.var).mutable_value() = std::move(it->second);
+    // also replaces a previously mapped (read-only external) value.
+    Tensor t(params[i].var.value().shape());
+    std::memcpy(t.data(), resolved[i]->data, resolved[i]->bytes);
+    const_cast<Variable&>(params[i].var).mutable_value() = std::move(t);
   }
   return Status::OK();
 }
@@ -162,47 +108,10 @@ Status AppendParametersEmxm(io::EmxmWriter* writer,
   return Status::OK();
 }
 
-Status LoadParametersMapped(std::shared_ptr<const io::EmxmReader> reader_sp,
+Status LoadParametersMapped(std::shared_ptr<const io::EmxmReader> reader,
                             const std::vector<NamedParam>& params) {
-  const io::EmxmReader& reader = *reader_sp;
-  // Validate every parameter before attaching any, so a bad container
-  // leaves the model untouched (the same all-or-nothing contract as
-  // LoadParameters, which stages the whole file into a map first).
-  std::vector<const io::Section*> resolved;
-  resolved.reserve(params.size());
-  for (const auto& p : params) {
-    const io::Section* s = reader.Find(ParamSectionName(p.name));
-    if (s == nullptr) {
-      return Status::NotFound("parameter '" + p.name + "' missing in " +
-                              reader.path());
-    }
-    if (s->kind != io::SectionKind::kF32Tensor) {
-      return Status::InvalidArgument("parameter '" + p.name + "' in " +
-                                     reader.path() +
-                                     " is not an fp32 tensor section");
-    }
-    const Tensor& dst_t = p.var.value();
-    const uint64_t ndim = s->aux[0];
-    bool shape_ok = ndim == static_cast<uint64_t>(dst_t.ndim());
-    uint64_t numel = 1;
-    for (uint64_t i = 0; shape_ok && i < ndim; ++i) {
-      shape_ok = s->aux[1 + i] == static_cast<uint64_t>(dst_t.shape()[i]);
-      numel *= s->aux[1 + i];
-    }
-    if (!shape_ok) {
-      return Status::InvalidArgument(
-          "parameter '" + p.name + "' shape mismatch in " + reader.path() +
-          ": model expects " + ShapeToString(dst_t.shape()));
-    }
-    if (s->bytes != numel * sizeof(float)) {
-      return Status::InvalidArgument("parameter '" + p.name + "' in " +
-                                     reader.path() + " has " +
-                                     std::to_string(s->bytes) +
-                                     " payload bytes for " +
-                                     std::to_string(numel) + " elements");
-    }
-    resolved.push_back(s);
-  }
+  EMX_ASSIGN_OR_RETURN(std::vector<const io::Section*> resolved,
+                       ResolveParameters(*reader, params));
   for (size_t i = 0; i < params.size(); ++i) {
     // Zero-copy: the value becomes a read-only view of the mapped payload
     // (64-byte aligned by the EMXM layout), with the reader held alive by
@@ -211,7 +120,7 @@ Status LoadParametersMapped(std::shared_ptr<const io::EmxmReader> reader_sp,
     const_cast<Variable&>(params[i].var).mutable_value() =
         Tensor::FromExternal(params[i].var.value().shape(),
                              reinterpret_cast<const float*>(resolved[i]->data),
-                             reader_sp);
+                             reader);
   }
   return Status::OK();
 }

@@ -79,12 +79,16 @@ class Module {
 /// Joins a prefix and a leaf name with '.' (no leading dot for empty prefix).
 std::string JoinName(const std::string& prefix, const std::string& leaf);
 
-/// Saves parameters to a binary file (name-indexed).
+/// Saves parameters as an EMXM1 container: one "p:<name>" fp32 tensor
+/// section per parameter, published atomically (tmp + rename).
 Status SaveParameters(const std::string& path,
                       const std::vector<NamedParam>& params);
 
-/// Loads parameters by name into existing Variables; shapes must match.
-/// Fails if any parameter is missing from the file.
+/// Loads parameters by name from an EMXM1 container into existing
+/// Variables; shapes must match and every parameter must be present.
+/// Other sections (a model file's int8 images and manifest) are ignored.
+/// Each value is copied into a fresh heap tensor, so the model stays
+/// trainable; on any error the model is left untouched.
 Status LoadParameters(const std::string& path,
                       const std::vector<NamedParam>& params);
 
@@ -94,15 +98,13 @@ Status LoadParameters(const std::string& path,
 Status AppendParametersEmxm(io::EmxmWriter* writer,
                             const std::vector<NamedParam>& params);
 
-/// Loads parameters by name from a mapped EMXM container into existing
-/// Variables; shapes must match and every parameter must be present.
-/// Zero-copy: each Variable's value becomes a read-only view of the
-/// mapped payload (holding `reader` alive), so the load costs O(sections)
-/// regardless of model size and N processes mapping the same container
-/// share one physical copy of the weights. The model must be treated as
-/// read-only afterwards — fine-tuning or re-quantizing a mapped model is
-/// undefined behavior (the mapping is PROT_READ). LoadParameters restores
-/// mutable heap tensors.
+/// LoadParameters without the copy, from an already opened container:
+/// each Variable's value becomes a read-only view of the mapped payload
+/// (holding `reader` alive), so the load costs O(sections) regardless of
+/// model size and N processes mapping the same container share one
+/// physical copy of the weights. The model must be treated as read-only
+/// afterwards — fine-tuning or re-quantizing a mapped model is undefined
+/// behavior (the mapping is PROT_READ).
 Status LoadParametersMapped(std::shared_ptr<const io::EmxmReader> reader,
                             const std::vector<NamedParam>& params);
 

@@ -109,7 +109,7 @@ Result<PretrainedBundle> GetPretrained(models::Architecture arch,
   auto model = models::CreateTransformer(config, &init_rng);
 
   const std::string model_path = StrFormat(
-      "%s_%s_h%lld_l%lld_t%lld_p%d.params", CachePrefix(options, arch).c_str(),
+      "%s_%s_h%lld_l%lld_t%lld_p%d.emxm", CachePrefix(options, arch).c_str(),
       models::ArchitectureName(arch), static_cast<long long>(config.hidden),
       static_cast<long long>(config.num_layers),
       static_cast<long long>(options.pretrain.steps),

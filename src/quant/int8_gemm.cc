@@ -91,45 +91,6 @@ PackedWeights PackWeights(const Tensor& weight, const Tensor& bias,
   return w;
 }
 
-PackedWeights PackQuantizedWeights(int64_t in, int64_t out,
-                                   const std::vector<int8_t>& qw,
-                                   const std::vector<float>& w_scales,
-                                   const std::vector<float>& bias,
-                                   const QuantParams& act) {
-  EMX_CHECK_EQ(static_cast<int64_t>(qw.size()), in * out);
-  EMX_CHECK_EQ(static_cast<int64_t>(w_scales.size()), out);
-  EMX_CHECK_EQ(static_cast<int64_t>(bias.size()), out);
-  PackedWeights w;
-  w.in = in;
-  w.out = out;
-  w.k_padded = RoundUp(in, kKGroup);
-  w.n_padded = RoundUp(out, kColBlock);
-  w.act = act;
-  w.w_scales = w_scales;
-  w.bias = bias;
-  w.data.assign(static_cast<size_t>(w.n_padded * w.k_padded), 0);
-  for (int64_t k = 0; k < in; ++k) {
-    for (int64_t j = 0; j < out; ++j) {
-      w.data[static_cast<size_t>(PackedIndex(w.k_padded, k, j))] =
-          qw[static_cast<size_t>(k * out + j)];
-    }
-  }
-  FinalizeDerived(&w);
-  return w;
-}
-
-std::vector<int8_t> UnpackQuantizedWeights(const PackedWeights& w) {
-  const int8_t* packed = w.packed_data();
-  std::vector<int8_t> qw(static_cast<size_t>(w.in * w.out));
-  for (int64_t k = 0; k < w.in; ++k) {
-    for (int64_t j = 0; j < w.out; ++j) {
-      qw[static_cast<size_t>(k * w.out + j)] =
-          packed[PackedIndex(w.k_padded, k, j)];
-    }
-  }
-  return qw;
-}
-
 Result<PackedWeights> ViewPackedWeights(int64_t in, int64_t out,
                                         const int8_t* packed,
                                         uint64_t packed_bytes,

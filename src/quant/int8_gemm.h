@@ -39,7 +39,7 @@ struct PackedWeights {
   int64_t n_padded = 0;  // out rounded up to kColBlock
 
   /// Packed bytes live in exactly one of two places: `data` when the
-  /// weights were quantized or parsed into this process, or `view` when
+  /// weights were quantized in this process, or `view` when
   /// they are served zero-copy out of a read-only EMXM mapping. `owner`
   /// keeps whatever backs `view` (the mapped container) alive for as long
   /// as this struct exists; kernels always go through packed_data().
@@ -63,22 +63,12 @@ struct PackedWeights {
 PackedWeights PackWeights(const Tensor& weight, const Tensor& bias,
                           const QuantParams& act);
 
-/// Rebuilds the packed structure from already-quantized rows (checkpoint
-/// load). `qw` is logical row-major [in, out]. col_sums and fused scales
-/// are recomputed; packing is deterministic, so a reloaded model is
-/// bit-identical to the freshly quantized one it was saved from.
-PackedWeights PackQuantizedWeights(int64_t in, int64_t out,
-                                   const std::vector<int8_t>& qw,
-                                   const std::vector<float>& w_scales,
-                                   const std::vector<float>& bias,
-                                   const QuantParams& act);
-
 /// Builds a PackedWeights that serves the kernel directly from an
 /// already-packed weight image (an EMXM section still inside its mmap) —
 /// the zero-copy load path. Nothing is repacked or summed: `packed` is
 /// aliased, and the derived arrays come from the container verbatim, with
 /// only fused_scale recomputed exactly as FinalizeDerived does, so mapped
-/// and parsed models produce bit-identical logits. `owner` must keep
+/// and freshly quantized models produce bit-identical logits. `owner` must keep
 /// `packed` valid for the lifetime of the returned struct.
 Result<PackedWeights> ViewPackedWeights(int64_t in, int64_t out,
                                         const int8_t* packed,
@@ -88,10 +78,6 @@ Result<PackedWeights> ViewPackedWeights(int64_t in, int64_t out,
                                         std::vector<float> bias,
                                         std::vector<int32_t> col_sums,
                                         const QuantParams& act);
-
-/// Extracts the logical row-major int8 weights back out of the packed
-/// layout (for checkpoint save).
-std::vector<int8_t> UnpackQuantizedWeights(const PackedWeights& w);
 
 /// Quantizes a row-major fp32 matrix [m, k] to u8 rows padded to
 /// k_padded: q = clamp(round(x/scale) + zero_point, 0, 255). Padding

@@ -8,41 +8,13 @@
 #include <vector>
 
 #include "io/emxm.h"
-#include "nn/layers.h"
 #include "nn/module.h"
 #include "quant/int8_gemm.h"
 #include "quant/quantize_matcher.h"
-#include "quant/quantized_linear.h"
 
 namespace emx {
 namespace quant {
 namespace {
-
-constexpr char kManifestName[] = "emxm:manifest";
-
-/// Same flattening as QuantizeMatcher: standalone linears plus the
-/// fc1/fc2 of every FFN, under the fused block's name scheme.
-struct FlatQuantTargets {
-  std::vector<std::pair<std::string, nn::Linear*>> linears;
-  std::vector<std::pair<std::string, nn::FeedForward*>> ffns;
-};
-
-FlatQuantTargets FlattenTargets(core::EntityMatcher* matcher) {
-  nn::QuantTargets targets;
-  matcher->classifier()->CollectQuantTargets("", &targets);
-  FlatQuantTargets flat;
-  flat.linears = targets.linears;
-  flat.ffns = targets.ffns;
-  for (auto& [name, ffn] : targets.ffns) {
-    flat.linears.emplace_back(nn::JoinName(name, "fc1"), ffn->fc1());
-    flat.linears.emplace_back(nn::JoinName(name, "fc2"), ffn->fc2());
-  }
-  return flat;
-}
-
-std::shared_ptr<Int8LinearBackend> GetInt8Backend(const nn::Linear* layer) {
-  return std::static_pointer_cast<Int8LinearBackend>(layer->backend());
-}
 
 std::string QwName(const std::string& name) { return "q:" + name + ":qw"; }
 std::string WsName(const std::string& name) { return "q:" + name + ":ws"; }
@@ -75,24 +47,16 @@ Result<const io::Section*> VecSection(const io::EmxmReader& reader,
 }  // namespace
 
 Status SaveModelFile(core::EntityMatcher* matcher, const std::string& path) {
-  io::EmxmWriter writer;
-
-  // fp32 first: always present, and enough to rebuild everything else.
-  std::vector<nn::NamedParam> params = matcher->classifier()->Parameters();
-  EMX_RETURN_IF_ERROR(nn::AppendParametersEmxm(&writer, params));
-
-  FlatQuantTargets flat = FlattenTargets(matcher);
-  const bool quantized = IsQuantized(matcher);
-  uint64_t linear_count = 0;
-  uint64_t ffn_count = 0;
-  if (quantized) {
-    for (auto& [name, layer] : flat.linears) {
+  if (!IsQuantized(matcher)) return matcher->Save(path);
+  const FlatQuantTargets flat = FlattenQuantTargets(matcher);
+  return matcher->Save(path, [&flat](io::EmxmWriter* writer) -> Status {
+    for (const auto& [name, layer] : flat.linears) {
       if (layer->backend() == nullptr || !layer->backend()->ready()) {
         return Status::InvalidArgument(
             "SaveModelFile: layer '" + name +
             "' is not quantized; quantize fully or clear quantization");
       }
-      const PackedWeights& w = GetInt8Backend(layer)->packed();
+      const PackedWeights& w = Int8BackendOf(layer)->packed();
       std::array<uint64_t, 6> aux{};
       aux[0] = static_cast<uint64_t>(w.in);
       aux[1] = static_cast<uint64_t>(w.out);
@@ -102,21 +66,20 @@ Status SaveModelFile(core::EntityMatcher* matcher, const std::string& path) {
       aux[5] = static_cast<uint64_t>(w.act.zero_point);
       // The packed kernel image verbatim — including col_sums below, so
       // the mapped loader never has to touch the weight bytes.
-      writer.AddSection(
+      writer->AddSection(
           QwName(name), io::SectionKind::kInt8Packed, aux, w.packed_data(),
           static_cast<uint64_t>(w.k_padded) * static_cast<uint64_t>(w.n_padded));
       std::array<uint64_t, 6> count_aux{};
       count_aux[0] = static_cast<uint64_t>(w.out);
-      writer.AddSection(WsName(name), io::SectionKind::kF32Vec, count_aux,
-                        w.w_scales.data(), w.w_scales.size() * sizeof(float));
-      writer.AddSection(BiasName(name), io::SectionKind::kF32Vec, count_aux,
-                        w.bias.data(), w.bias.size() * sizeof(float));
-      writer.AddSection(CsName(name), io::SectionKind::kI32Vec, count_aux,
-                        w.col_sums.data(),
-                        w.col_sums.size() * sizeof(int32_t));
-      ++linear_count;
+      writer->AddSection(WsName(name), io::SectionKind::kF32Vec, count_aux,
+                         w.w_scales.data(), w.w_scales.size() * sizeof(float));
+      writer->AddSection(BiasName(name), io::SectionKind::kF32Vec, count_aux,
+                         w.bias.data(), w.bias.size() * sizeof(float));
+      writer->AddSection(CsName(name), io::SectionKind::kI32Vec, count_aux,
+                         w.col_sums.data(),
+                         w.col_sums.size() * sizeof(int32_t));
     }
-    for (auto& [name, ffn] : flat.ffns) {
+    for (const auto& [name, ffn] : flat.ffns) {
       if (ffn->backend() == nullptr || !ffn->backend()->ready()) {
         return Status::InvalidArgument("SaveModelFile: FFN '" + name +
                                        "' has no fused backend");
@@ -128,21 +91,11 @@ Status SaveModelFile(core::EntityMatcher* matcher, const std::string& path) {
       aux[0] = static_cast<uint64_t>(be->activation());
       aux[1] = io::AuxFromF32(mid.scale);
       aux[2] = static_cast<uint64_t>(mid.zero_point);
-      writer.AddSection(FfnName(name), io::SectionKind::kFfnMeta, aux,
-                        nullptr, 0);
-      ++ffn_count;
+      writer->AddSection(FfnName(name), io::SectionKind::kFfnMeta, aux,
+                         nullptr, 0);
     }
-  }
-
-  const std::string arch = matcher->arch_name();
-  std::array<uint64_t, 6> manifest_aux{};
-  manifest_aux[0] = params.size();
-  manifest_aux[1] = linear_count;
-  manifest_aux[2] = ffn_count;
-  writer.AddSection(kManifestName, io::SectionKind::kManifest, manifest_aux,
-                    arch.data(), arch.size());
-
-  return writer.WriteFile(path);
+    return Status::OK();
+  });
 }
 
 Result<ModelFileInfo> LoadModelFileMapped(core::EntityMatcher* matcher,
@@ -150,7 +103,7 @@ Result<ModelFileInfo> LoadModelFileMapped(core::EntityMatcher* matcher,
   EMX_ASSIGN_OR_RETURN(std::shared_ptr<const io::EmxmReader> reader,
                        io::EmxmReader::Open(path));
 
-  const io::Section* manifest = reader->Find(kManifestName);
+  const io::Section* manifest = reader->Find(io::kManifestSection);
   if (manifest == nullptr || manifest->kind != io::SectionKind::kManifest) {
     return Status::InvalidArgument(path + " has no model manifest");
   }
@@ -168,7 +121,7 @@ Result<ModelFileInfo> LoadModelFileMapped(core::EntityMatcher* matcher,
   info.int8_ffns = static_cast<int64_t>(manifest->aux[2]);
   info.has_int8 = manifest->aux[1] > 0;
 
-  FlatQuantTargets flat = FlattenTargets(matcher);
+  FlatQuantTargets flat = FlattenQuantTargets(matcher);
   std::map<std::string, std::shared_ptr<Int8LinearBackend>> backends;
   std::map<std::string, std::shared_ptr<Int8FfnBackend>> ffn_backends;
   if (info.has_int8) {

@@ -20,13 +20,14 @@ struct ModelFileInfo {
   bool has_int8 = false;
 };
 
-/// Writes the matcher's full serving state into one EMXM container:
-/// always the fp32 parameters, plus — when the matcher is quantized — the
-/// packed int8 image of every linear, its per-channel scales/bias/column
-/// sums, and each FFN's fusion grid, exactly as the kernels use them. The
-/// packed bytes go into the file verbatim, which is what lets the loader
-/// hand the mapping straight to the GEMM. The write is atomic (tmp +
-/// rename), so a watcher seeing the file change always sees it whole.
+/// Writes the matcher's full serving state as its model file
+/// (EntityMatcher::Save, byte for byte when the matcher is not quantized),
+/// plus — when it is — the packed int8 image of every linear, its
+/// per-channel scales/bias/column sums, and each FFN's fusion grid,
+/// exactly as the kernels use them. The packed bytes go into the file
+/// verbatim, which is what lets the loader hand the mapping straight to
+/// the GEMM. The write is atomic (tmp + rename), so a watcher seeing the
+/// file change always sees it whole.
 Status SaveModelFile(core::EntityMatcher* matcher, const std::string& path);
 
 /// Opens an EMXM container by mmap and loads it into the matcher, zero-copy

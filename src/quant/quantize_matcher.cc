@@ -1,36 +1,15 @@
 #include "quant/quantize_matcher.h"
 
-#include <cstdint>
-#include <fstream>
-#include <map>
+#include <algorithm>
 #include <memory>
-#include <utility>
-
-#include "io/atomic_file.h"
-#include "nn/layers.h"
-#include "quant/int8_gemm.h"
-#include "quant/quantized_linear.h"
-#include "util/logging.h"
 
 namespace emx {
 namespace quant {
-namespace {
 
-constexpr uint32_t kMagic = 0x454d5851;  // "EMXQ"
-constexpr uint32_t kVersion = 1;
-
-/// Every Linear that gets its own backend: the standalone targets plus the
-/// fc1/fc2 of each FFN target (those calibrate individually but serve
-/// through the fused block backend).
-struct FlatTargets {
-  std::vector<std::pair<std::string, nn::Linear*>> linears;
-  std::vector<std::pair<std::string, nn::FeedForward*>> ffns;
-};
-
-FlatTargets Flatten(core::EntityMatcher* matcher) {
+FlatQuantTargets FlattenQuantTargets(core::EntityMatcher* matcher) {
   nn::QuantTargets targets;
   matcher->classifier()->CollectQuantTargets("", &targets);
-  FlatTargets flat;
+  FlatQuantTargets flat;
   flat.linears = targets.linears;
   flat.ffns = targets.ffns;
   for (auto& [name, ffn] : targets.ffns) {
@@ -40,34 +19,9 @@ FlatTargets Flatten(core::EntityMatcher* matcher) {
   return flat;
 }
 
-std::shared_ptr<Int8LinearBackend> GetInt8Backend(const nn::Linear* layer) {
+std::shared_ptr<Int8LinearBackend> Int8BackendOf(const nn::Linear* layer) {
   return std::static_pointer_cast<Int8LinearBackend>(layer->backend());
 }
-
-void WriteBytes(std::ofstream& out, const void* p, size_t n) {
-  out.write(reinterpret_cast<const char*>(p),
-            static_cast<std::streamsize>(n));
-}
-
-bool ReadBytes(std::ifstream& in, void* p, size_t n) {
-  in.read(reinterpret_cast<char*>(p), static_cast<std::streamsize>(n));
-  return static_cast<bool>(in);
-}
-
-void WriteString(std::ofstream& out, const std::string& s) {
-  const uint64_t len = s.size();
-  WriteBytes(out, &len, sizeof(len));
-  WriteBytes(out, s.data(), len);
-}
-
-bool ReadString(std::ifstream& in, std::string* s) {
-  uint64_t len = 0;
-  if (!ReadBytes(in, &len, sizeof(len)) || len > (1u << 20)) return false;
-  s->assign(len, '\0');
-  return ReadBytes(in, s->data(), len);
-}
-
-}  // namespace
 
 Result<QuantizeReport> QuantizeMatcher(core::EntityMatcher* matcher,
                                        const CalibrationData& calib,
@@ -77,7 +31,7 @@ Result<QuantizeReport> QuantizeMatcher(core::EntityMatcher* matcher,
         "QuantizeMatcher: calibration data must hold equal, non-empty text "
         "lists");
   }
-  FlatTargets flat = Flatten(matcher);
+  FlatQuantTargets flat = FlattenQuantTargets(matcher);
   if (flat.linears.empty()) {
     return Status::InvalidArgument(
         "QuantizeMatcher: model reports no quantizable layers");
@@ -107,7 +61,7 @@ Result<QuantizeReport> QuantizeMatcher(core::EntityMatcher* matcher,
   QuantizeReport report;
   report.calibration_pairs = total;
   for (auto& [name, layer] : flat.linears) {
-    Status st = GetInt8Backend(layer)->Freeze(*layer);
+    Status st = Int8BackendOf(layer)->Freeze(*layer);
     if (!st.ok()) {
       return Status(st.code(),
                     "layer '" + name + "': " + st.message());
@@ -116,8 +70,8 @@ Result<QuantizeReport> QuantizeMatcher(core::EntityMatcher* matcher,
   report.num_linears =
       static_cast<int64_t>(flat.linears.size() - 2 * flat.ffns.size());
   for (auto& [name, ffn] : flat.ffns) {
-    auto fc1 = GetInt8Backend(ffn->fc1());
-    auto fc2 = GetInt8Backend(ffn->fc2());
+    auto fc1 = Int8BackendOf(ffn->fc1());
+    auto fc2 = Int8BackendOf(ffn->fc2());
     ffn->set_backend(std::make_shared<Int8FfnBackend>(
         fc1->packed(), fc2->packed(), fc1->ObservedOutputParams(),
         ffn->activation()));
@@ -127,7 +81,7 @@ Result<QuantizeReport> QuantizeMatcher(core::EntityMatcher* matcher,
 }
 
 bool IsQuantized(core::EntityMatcher* matcher) {
-  FlatTargets flat = Flatten(matcher);
+  FlatQuantTargets flat = FlattenQuantTargets(matcher);
   for (auto& [name, layer] : flat.linears) {
     if (layer->backend() != nullptr && layer->backend()->ready()) return true;
   }
@@ -138,198 +92,9 @@ bool IsQuantized(core::EntityMatcher* matcher) {
 }
 
 void ClearQuantization(core::EntityMatcher* matcher) {
-  FlatTargets flat = Flatten(matcher);
+  FlatQuantTargets flat = FlattenQuantTargets(matcher);
   for (auto& [name, layer] : flat.linears) layer->set_backend(nullptr);
   for (auto& [name, ffn] : flat.ffns) ffn->set_backend(nullptr);
-}
-
-Status SaveQuantized(core::EntityMatcher* matcher, const std::string& path) {
-  FlatTargets flat = Flatten(matcher);
-  for (auto& [name, layer] : flat.linears) {
-    if (layer->backend() == nullptr || !layer->backend()->ready()) {
-      return Status::InvalidArgument(
-          "SaveQuantized: layer '" + name +
-          "' is not quantized; run QuantizeMatcher first");
-    }
-  }
-  io::AtomicFileWriter writer(path);
-  EMX_RETURN_IF_ERROR(writer.status());
-  std::ofstream& out = writer.stream();
-  WriteBytes(out, &kMagic, sizeof(kMagic));
-  WriteBytes(out, &kVersion, sizeof(kVersion));
-
-  const uint64_t linear_count = flat.linears.size();
-  WriteBytes(out, &linear_count, sizeof(linear_count));
-  for (auto& [name, layer] : flat.linears) {
-    const PackedWeights& w = GetInt8Backend(layer)->packed();
-    WriteString(out, name);
-    WriteBytes(out, &w.in, sizeof(w.in));
-    WriteBytes(out, &w.out, sizeof(w.out));
-    WriteBytes(out, &w.act.scale, sizeof(w.act.scale));
-    WriteBytes(out, &w.act.zero_point, sizeof(w.act.zero_point));
-    WriteBytes(out, w.w_scales.data(), w.w_scales.size() * sizeof(float));
-    WriteBytes(out, w.bias.data(), w.bias.size() * sizeof(float));
-    const std::vector<int8_t> qw = UnpackQuantizedWeights(w);
-    WriteBytes(out, qw.data(), qw.size());
-  }
-
-  const uint64_t ffn_count = flat.ffns.size();
-  WriteBytes(out, &ffn_count, sizeof(ffn_count));
-  for (auto& [name, ffn] : flat.ffns) {
-    if (ffn->backend() == nullptr || !ffn->backend()->ready()) {
-      return Status::InvalidArgument("SaveQuantized: FFN '" + name +
-                                     "' has no fused backend");
-    }
-    const auto* be = static_cast<const Int8FfnBackend*>(ffn->backend().get());
-    WriteString(out, name);
-    const uint32_t act = static_cast<uint32_t>(be->activation());
-    WriteBytes(out, &act, sizeof(act));
-    const QuantParams mid = be->mid_in();
-    WriteBytes(out, &mid.scale, sizeof(mid.scale));
-    WriteBytes(out, &mid.zero_point, sizeof(mid.zero_point));
-  }
-  return writer.Commit();
-}
-
-Status LoadQuantized(core::EntityMatcher* matcher, const std::string& path) {
-  FlatTargets flat = Flatten(matcher);
-  std::map<std::string, nn::Linear*> linear_by_name;
-  for (auto& [name, layer] : flat.linears) linear_by_name[name] = layer;
-  std::map<std::string, nn::FeedForward*> ffn_by_name;
-  for (auto& [name, ffn] : flat.ffns) ffn_by_name[name] = ffn;
-
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  const uint64_t file_bytes = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-  uint32_t magic = 0, version = 0;
-  if (!ReadBytes(in, &magic, sizeof(magic)) ||
-      !ReadBytes(in, &version, sizeof(version)) || magic != kMagic) {
-    return Status::InvalidArgument(path +
-                                   " is not an emx quantized checkpoint");
-  }
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported quantized checkpoint version");
-  }
-
-  uint64_t linear_count = 0;
-  if (!ReadBytes(in, &linear_count, sizeof(linear_count)) ||
-      linear_count > (1u << 20)) {
-    return Status::InvalidArgument("corrupt quantized checkpoint " + path);
-  }
-  std::map<std::string, std::shared_ptr<Int8LinearBackend>> loaded;
-  for (uint64_t i = 0; i < linear_count; ++i) {
-    std::string name;
-    if (!ReadString(in, &name)) {
-      return Status::IoError("truncated quantized checkpoint " + path);
-    }
-    int64_t in_dim = 0, out_dim = 0;
-    QuantParams act;
-    if (!ReadBytes(in, &in_dim, sizeof(in_dim)) ||
-        !ReadBytes(in, &out_dim, sizeof(out_dim)) ||
-        !ReadBytes(in, &act.scale, sizeof(act.scale)) ||
-        !ReadBytes(in, &act.zero_point, sizeof(act.zero_point)) ||
-        in_dim <= 0 || out_dim <= 0) {
-      return Status::IoError("truncated quantized checkpoint " + path);
-    }
-    auto it = linear_by_name.find(name);
-    if (it == linear_by_name.end()) {
-      return Status::NotFound("quantized layer '" + name +
-                              "' does not exist in this model");
-    }
-    if (it->second->in_features() != in_dim ||
-        it->second->out_features() != out_dim) {
-      return Status::InvalidArgument(
-          "quantized layer '" + name + "' shape mismatch: file has [" +
-          std::to_string(in_dim) + ", " + std::to_string(out_dim) +
-          "], model expects [" + std::to_string(it->second->in_features()) +
-          ", " + std::to_string(it->second->out_features()) + "]");
-    }
-    // Cross-check the byte counts this entry implies against what is left
-    // of the file before allocating: the dims were range-checked as
-    // positive, but a corrupt pair like [2^40, 2^20] would otherwise ask
-    // for an exabyte of vectors the payload can never fill.
-    const uint64_t remaining = file_bytes - static_cast<uint64_t>(in.tellg());
-    const uint64_t in_u = static_cast<uint64_t>(in_dim);
-    const uint64_t out_u = static_cast<uint64_t>(out_dim);
-    if (out_u > remaining || in_u > remaining) {
-      return Status::InvalidArgument("corrupt quantized checkpoint " + path +
-                                     ": dims for '" + name +
-                                     "' exceed file size");
-    }
-    const uint64_t scale_bytes = out_u * 2 * sizeof(float);
-    if (scale_bytes > remaining ||
-        in_u > (remaining - scale_bytes) / out_u) {
-      return Status::InvalidArgument("corrupt quantized checkpoint " + path +
-                                     ": payload for '" + name +
-                                     "' exceeds file size");
-    }
-    std::vector<float> w_scales(static_cast<size_t>(out_dim));
-    std::vector<float> bias(static_cast<size_t>(out_dim));
-    std::vector<int8_t> qw(static_cast<size_t>(in_dim * out_dim));
-    if (!ReadBytes(in, w_scales.data(), w_scales.size() * sizeof(float)) ||
-        !ReadBytes(in, bias.data(), bias.size() * sizeof(float)) ||
-        !ReadBytes(in, qw.data(), qw.size())) {
-      return Status::IoError("truncated quantized checkpoint " + path);
-    }
-    auto backend = std::make_shared<Int8LinearBackend>();
-    backend->FreezeFromPacked(
-        PackQuantizedWeights(in_dim, out_dim, qw, w_scales, bias, act));
-    loaded[name] = backend;
-  }
-
-  uint64_t ffn_count = 0;
-  if (!ReadBytes(in, &ffn_count, sizeof(ffn_count)) ||
-      ffn_count > (1u << 20)) {
-    return Status::IoError("truncated quantized checkpoint " + path);
-  }
-  std::map<std::string, std::shared_ptr<Int8FfnBackend>> loaded_ffns;
-  for (uint64_t i = 0; i < ffn_count; ++i) {
-    std::string name;
-    uint32_t act = 0;
-    QuantParams mid;
-    if (!ReadString(in, &name) || !ReadBytes(in, &act, sizeof(act)) ||
-        !ReadBytes(in, &mid.scale, sizeof(mid.scale)) ||
-        !ReadBytes(in, &mid.zero_point, sizeof(mid.zero_point))) {
-      return Status::IoError("truncated quantized checkpoint " + path);
-    }
-    auto it = ffn_by_name.find(name);
-    if (it == ffn_by_name.end()) {
-      return Status::NotFound("quantized FFN '" + name +
-                              "' does not exist in this model");
-    }
-    if (act != static_cast<uint32_t>(it->second->activation())) {
-      return Status::InvalidArgument("quantized FFN '" + name +
-                                     "' activation mismatch");
-    }
-    auto fc1 = loaded.find(nn::JoinName(name, "fc1"));
-    auto fc2 = loaded.find(nn::JoinName(name, "fc2"));
-    if (fc1 == loaded.end() || fc2 == loaded.end()) {
-      return Status::InvalidArgument("quantized FFN '" + name +
-                                     "' is missing its fc1/fc2 entries");
-    }
-    loaded_ffns[name] = std::make_shared<Int8FfnBackend>(
-        fc1->second->packed(), fc2->second->packed(), mid,
-        it->second->activation());
-  }
-
-  // The checkpoint must cover the whole model before anything is attached,
-  // so a failed load leaves the matcher untouched.
-  for (auto& [name, layer] : flat.linears) {
-    if (loaded.find(name) == loaded.end()) {
-      return Status::InvalidArgument("quantized checkpoint " + path +
-                                     " does not cover layer '" + name + "'");
-    }
-  }
-  for (auto& [name, ffn] : flat.ffns) {
-    if (loaded_ffns.find(name) == loaded_ffns.end()) {
-      return Status::InvalidArgument("quantized checkpoint " + path +
-                                     " does not cover FFN '" + name + "'");
-    }
-  }
-  for (auto& [name, layer] : flat.linears) layer->set_backend(loaded[name]);
-  for (auto& [name, ffn] : flat.ffns) ffn->set_backend(loaded_ffns[name]);
-  return Status::OK();
 }
 
 }  // namespace quant

@@ -2,11 +2,15 @@
 #define EMX_QUANT_QUANTIZE_MATCHER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/entity_matcher.h"
+#include "nn/layers.h"
 #include "quant/observer.h"
+#include "quant/quantized_linear.h"
 #include "util/status.h"
 
 namespace emx {
@@ -55,23 +59,28 @@ Result<QuantizeReport> QuantizeMatcher(core::EntityMatcher* matcher,
                                        const CalibrationData& calib,
                                        const QuantizeOptions& options = {});
 
+/// A matcher's quant targets, as QuantizeMatcher and the model file see
+/// them: `linears` holds every Linear that gets its own int8 backend —
+/// the standalone targets of CollectQuantTargets plus the fc1/fc2 of each
+/// FFN target, named "<ffn>.fc1" / "<ffn>.fc2" (those calibrate
+/// individually but serve through the fused block backend).
+struct FlatQuantTargets {
+  std::vector<std::pair<std::string, nn::Linear*>> linears;
+  std::vector<std::pair<std::string, nn::FeedForward*>> ffns;
+};
+
+/// Collects the matcher's FlatQuantTargets.
+FlatQuantTargets FlattenQuantTargets(core::EntityMatcher* matcher);
+
+/// The int8 backend QuantizeMatcher or LoadModelFileMapped attached to
+/// `layer` (null when it has none).
+std::shared_ptr<Int8LinearBackend> Int8BackendOf(const nn::Linear* layer);
+
 /// True when any quant target carries a ready int8 backend.
 bool IsQuantized(core::EntityMatcher* matcher);
 
 /// Detaches every int8 backend, returning the matcher to pure fp32.
 void ClearQuantization(core::EntityMatcher* matcher);
-
-/// Persists the quantized state (int8 weights, per-channel scales,
-/// activation grids, FFN fusion grids) of a quantized matcher. The format
-/// is a sibling of nn::SaveParameters' — magic "EMXQ" instead of "EMXP" —
-/// and stores exactly the integer state, so save -> load reproduces the
-/// original backends bit for bit. Pre-condition: IsQuantized(matcher).
-Status SaveQuantized(core::EntityMatcher* matcher, const std::string& path);
-
-/// Restores quantized backends saved by SaveQuantized onto a matcher with
-/// the same architecture (the fp32 checkpoint is loaded separately via
-/// EntityMatcher::Load). No calibration pass is needed.
-Status LoadQuantized(core::EntityMatcher* matcher, const std::string& path);
 
 }  // namespace quant
 }  // namespace emx

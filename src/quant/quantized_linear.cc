@@ -153,26 +153,5 @@ Tensor Int8FfnBackend::Forward(const Tensor& x2d) const {
   return y;
 }
 
-QuantizedLinear::QuantizedLinear(const nn::Linear& src,
-                                 const QuantParams& input_params)
-    : backend_(std::make_shared<Int8LinearBackend>()) {
-  backend_->FreezeFromPacked(PackWeights(src.weight().value(),
-                                         src.bias().value(), input_params));
-}
-
-QuantizedLinear::QuantizedLinear(std::shared_ptr<Int8LinearBackend> backend)
-    : backend_(std::move(backend)) {
-  EMX_CHECK(backend_ != nullptr && backend_->ready());
-}
-
-Variable QuantizedLinear::Forward(const Variable& x) const {
-  const Shape& in_shape = x.shape();
-  EMX_CHECK_EQ(in_shape.back(), in_features());
-  Shape out_shape(in_shape.begin(), in_shape.end() - 1);
-  out_shape.push_back(out_features());
-  Tensor x2d = x.value().Reshape({-1, in_features()});
-  return Variable::Constant(backend_->Forward(x2d).Reshape(out_shape));
-}
-
 }  // namespace quant
 }  // namespace emx

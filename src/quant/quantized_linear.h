@@ -4,11 +4,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/layers.h"
-#include "nn/module.h"
 #include "quant/int8_gemm.h"
 #include "quant/observer.h"
 #include "util/status.h"
@@ -98,35 +96,6 @@ class Int8FfnBackend : public nn::FeedForwardBackend {
 /// the two paths cannot drift apart and quantization error is the only
 /// delta.
 float ActivationScalar(float x, nn::Activation activation);
-
-/// nn::Module wrapper over an int8 backend: the standalone quantized
-/// replacement for an nn::Linear, with the same Forward contract
-/// ([..., in] -> [..., out]). Carries no trainable parameters — the int8
-/// weights are frozen by construction.
-class QuantizedLinear : public nn::Module {
- public:
-  /// Quantizes `src` against an already-calibrated input grid.
-  QuantizedLinear(const nn::Linear& src, const QuantParams& input_params);
-  /// Wraps an existing frozen backend. Pre-condition: backend->ready().
-  explicit QuantizedLinear(std::shared_ptr<Int8LinearBackend> backend);
-
-  Variable Forward(const Variable& x) const;
-
-  void CollectParameters(const std::string& prefix,
-                         std::vector<nn::NamedParam>* out) override {
-    (void)prefix;
-    (void)out;
-  }
-
-  int64_t in_features() const { return backend_->packed().in; }
-  int64_t out_features() const { return backend_->packed().out; }
-  const std::shared_ptr<Int8LinearBackend>& backend() const {
-    return backend_;
-  }
-
- private:
-  std::shared_ptr<Int8LinearBackend> backend_;
-};
 
 }  // namespace quant
 }  // namespace emx

@@ -211,16 +211,25 @@ Result<std::unique_ptr<CatalogMatcher>> CatalogMatcher::Load(
   if (!ReadI64(in, &num_texts) || num_texts < 0) {
     return Status::IoError("truncated catalog header");
   }
+  // Each text carries at least its 8-byte length; `left` bounds every
+  // count and length before it sizes an allocation.
+  uint64_t left = BytesLeft(in);
+  if (static_cast<uint64_t>(num_texts) > left / sizeof(int64_t)) {
+    return Status::InvalidArgument("catalog text count exceeds file size");
+  }
   std::vector<std::string> texts;
   texts.reserve(static_cast<size_t>(num_texts));
   for (int64_t i = 0; i < num_texts; ++i) {
     int64_t len = 0;
-    if (!ReadI64(in, &len) || len < 0 || len > (1 << 24)) {
-      return Status::IoError("corrupt catalog text length");
+    if (!ReadI64(in, &len)) return Status::IoError("truncated catalog text");
+    left -= sizeof(len);
+    if (len < 0 || static_cast<uint64_t>(len) > left) {
+      return Status::InvalidArgument("corrupt catalog text length");
     }
     std::string t(static_cast<size_t>(len), '\0');
     in.read(t.data(), len);
     if (!in.good()) return Status::IoError("truncated catalog text");
+    left -= static_cast<uint64_t>(len);
     texts.push_back(std::move(t));
   }
   auto index = QGramIndex::LoadFrom(in);

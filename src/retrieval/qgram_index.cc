@@ -399,39 +399,56 @@ Result<QGramIndex> QGramIndex::LoadFrom(std::istream& in) {
   if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not an EMXRIDX1 index file");
   }
+  // Every count below is checked against what is left of the stream
+  // before it sizes a container; `left` follows each read.
+  uint64_t left = BytesLeft(in);
+  auto read_i64 = [&](int64_t* v) {
+    if (!ReadI64(in, v)) return false;
+    left -= sizeof(*v);
+    return true;
+  };
   IndexOptions options;
   int64_t index_tokens = 0, next_id = 0;
-  if (!ReadI64(in, &options.qgram) || !ReadI64(in, &index_tokens) ||
-      !ReadI64(in, &options.max_postings) || !ReadI64(in, &options.num_shards) ||
-      !ReadI64(in, &next_id)) {
+  if (!read_i64(&options.qgram) || !read_i64(&index_tokens) ||
+      !read_i64(&options.max_postings) || !read_i64(&options.num_shards) ||
+      !read_i64(&next_id)) {
     return Status::IoError("truncated index header");
   }
   options.index_tokens = index_tokens != 0;
+  // Ids are stored as uint32, and TopK sizes its accumulators by next_id.
   if (options.num_shards <= 0 || options.num_shards > (1 << 20) ||
-      next_id < 0) {
+      next_id < 0 || next_id > (int64_t{1} << 32)) {
     return Status::InvalidArgument("corrupt index header");
   }
+  // The smallest feature entry: key length, df, stopped flag, id count.
+  constexpr uint64_t kMinFeatureBytes = 4 * sizeof(int64_t);
   QGramIndex index(options);
   index.next_id_.store(next_id, std::memory_order_relaxed);
   for (int64_t s = 0; s < options.num_shards; ++s) {
     Shard& shard = index.shards_[static_cast<size_t>(s)];
     int64_t num_features = 0;
-    if (!ReadI64(in, &num_features) || num_features < 0) {
+    if (!read_i64(&num_features) || num_features < 0) {
       return Status::IoError("truncated shard header");
+    }
+    if (static_cast<uint64_t>(num_features) > left / kMinFeatureBytes) {
+      return Status::InvalidArgument("feature count exceeds file size");
     }
     shard.features.reserve(static_cast<size_t>(num_features));
     for (int64_t f = 0; f < num_features; ++f) {
       int64_t key_len = 0;
-      if (!ReadI64(in, &key_len) || key_len < 0 || key_len > (1 << 20)) {
-        return Status::IoError("corrupt feature key length");
+      if (!read_i64(&key_len) || key_len < 0 ||
+          static_cast<uint64_t>(key_len) > left) {
+        return Status::InvalidArgument("corrupt feature key length");
       }
       std::string key(static_cast<size_t>(key_len), '\0');
       in.read(key.data(), key_len);
+      left -= static_cast<uint64_t>(key_len);
       PostingList pl;
       int64_t stopped = 0, num_ids = 0;
-      if (!ReadI64(in, &pl.df) || !ReadI64(in, &stopped) ||
-          !ReadI64(in, &num_ids) || num_ids < 0 || num_ids > next_id) {
-        return Status::IoError("corrupt posting list header");
+      if (!read_i64(&pl.df) || !read_i64(&stopped) || !read_i64(&num_ids) ||
+          num_ids < 0 || num_ids > next_id ||
+          static_cast<uint64_t>(num_ids) > left / sizeof(uint32_t)) {
+        return Status::InvalidArgument("corrupt posting list header");
       }
       pl.stopped = stopped != 0;
       if (pl.stopped) ++shard.stop_count;
@@ -439,6 +456,7 @@ Result<QGramIndex> QGramIndex::LoadFrom(std::istream& in) {
       in.read(reinterpret_cast<char*>(pl.ids.data()),
               static_cast<std::streamsize>(pl.ids.size() * sizeof(uint32_t)));
       if (!in.good()) return Status::IoError("truncated posting list");
+      left -= pl.ids.size() * sizeof(uint32_t);
       // TopK indexes its per-shard accumulator by id / num_shards: every
       // posting must be a record of this shard that the header counts.
       const auto ns = static_cast<uint32_t>(options.num_shards);
@@ -457,6 +475,14 @@ Result<QGramIndex> QGramIndex::Load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return Status::IoError("cannot open " + path);
   return LoadFrom(in);
+}
+
+uint64_t BytesLeft(std::istream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return here < 0 || end < here ? 0 : static_cast<uint64_t>(end - here);
 }
 
 }  // namespace retrieval

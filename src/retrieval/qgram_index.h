@@ -119,6 +119,9 @@ class QGramIndex {
   /// sorted order (canonical bytes for identical index states); Load
   /// restores an index whose TopK results are bit-identical to the saved
   /// one's. Save requires ingest quiescence (it takes all reader locks).
+  /// Load checks every count in the file against the bytes left in the
+  /// stream before it sizes anything by it, so a corrupt or hostile header
+  /// is an InvalidArgument, never an allocation failure.
   Status Save(const std::string& path) const;
   Status SaveTo(std::ostream& out) const;
   static Result<QGramIndex> Load(const std::string& path);
@@ -145,6 +148,11 @@ class QGramIndex {
   std::unique_ptr<Shard[]> shards_;
   std::atomic<int64_t> next_id_{0};
 };
+
+/// Bytes between the read position of a seekable stream and its end (0
+/// when it cannot seek): the bound the index and catalog loaders check
+/// each header count against before allocating.
+uint64_t BytesLeft(std::istream& in);
 
 }  // namespace retrieval
 }  // namespace emx

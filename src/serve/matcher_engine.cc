@@ -109,7 +109,7 @@ Result<std::unique_ptr<MatcherEngine>> MatcherEngine::Create(
       !HasReadyInt8Backends(matcher)) {
     return Status::InvalidArgument(
         "precision = kInt8 but the matcher has no frozen int8 backends; "
-        "run quant::QuantizeMatcher (or LoadQuantized) first");
+        "run quant::QuantizeMatcher (or quant::LoadModelFileMapped) first");
   }
   if (options.split_layer >= 0) {
     models::TransformerModel* backbone = matcher->classifier()->backbone();
@@ -152,8 +152,8 @@ MatcherEngine::MatcherEngine(core::EntityMatcher* matcher,
   if (options_.precision == Precision::kInt8) {
     EMX_CHECK(HasReadyInt8Backends(matcher))
         << "EngineOptions::precision = kInt8 but the matcher has no frozen "
-           "int8 backends; run quant::QuantizeMatcher (or LoadQuantized) "
-           "before constructing the engine";
+           "int8 backends; run quant::QuantizeMatcher (or "
+           "quant::LoadModelFileMapped) before constructing the engine";
   }
   if (options_.split_layer >= 0) {
     models::TransformerModel* backbone = matcher->classifier()->backbone();

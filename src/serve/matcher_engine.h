@@ -27,8 +27,9 @@ namespace serve {
 enum class Precision {
   /// The plain fp32 path. Any attached int8 backends are bypassed.
   kFp32,
-  /// int8 backends (attached by quant::QuantizeMatcher or LoadQuantized)
-  /// serve every quantized layer. Requires a quantized matcher.
+  /// int8 backends (attached by quant::QuantizeMatcher or
+  /// quant::LoadModelFileMapped) serve every quantized layer. Requires a
+  /// quantized matcher.
   kInt8,
 };
 

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
 
 #include "file_fuzz.h"
+#include "io/emxm.h"
 #include "nn/attention.h"
 #include "tensor/tensor.h"
 #include "nn/layers.h"
@@ -538,14 +540,18 @@ TEST(SerializationTest, EveryTruncationBoundaryFails) {
 TEST(SerializationTest, HostileDimsDoNotAllocate) {
   Rng rng(25);
   Linear a(4, 4, &rng);
-  std::string path = "/tmp/emx_nn_test_params_dims.bin";
+  std::string path = "/tmp/emx_nn_test_params_dims.emxm";
   std::vector<NamedParam> pa;
   a.CollectParameters("m", &pa);
   ASSERT_TRUE(SaveParameters(path, pa).ok());
-  // Layout: magic u32 | count u64 | name_len u64 | name | ndim u64 | dims.
-  // The first parameter is the [4, 4] weight ("m.weight", 8 name bytes).
-  const size_t ndim_off = 4 + 8 + 8 + 8;
+  // The first section entry is the [4, 4] weight "p:m.weight": its aux
+  // slots (ndim, dim0, ...) sit 40 bytes into the entry, and the entry
+  // table starts right after the 64-byte header.
+  const size_t entry = sizeof(io::EmxmHeader);
+  const size_t ndim_off = entry + offsetof(io::EmxmSectionEntry, aux);
   const size_t dim0_off = ndim_off + 8;
+  const size_t payload_bytes_off =
+      entry + offsetof(io::EmxmSectionEntry, payload_bytes);
   auto fails = [&](const std::string& patched) {
     Status s = LoadParameters(patched, pa);
     EXPECT_FALSE(s.ok()) << "accepted " << patched;
@@ -554,14 +560,18 @@ TEST(SerializationTest, HostileDimsDoNotAllocate) {
   // Negative and zero dims.
   emx::testing::WithPatchedField<int64_t>(path, dim0_off, -4, fails);
   emx::testing::WithPatchedField<int64_t>(path, dim0_off, 0, fails);
-  // A dim pair whose product wraps uint64 to something tiny — the
-  // overflow-checked product must reject it before any allocation.
+  // Dims far beyond the model, and a dim pair whose product wraps
+  // uint64 to something tiny: the model's shape, never the file's, sizes
+  // the tensor, so both are refused without allocating.
   emx::testing::WithPatchedField<int64_t>(path, dim0_off,
                                           static_cast<int64_t>(1) << 62,
                                           fails);
-  // Implausible ndim and parameter count.
   emx::testing::WithPatchedField<uint64_t>(path, ndim_off, 1u << 20, fails);
-  emx::testing::WithPatchedField<uint64_t>(path, 4, ~0ull, fails);
+  // A payload size beyond the file, and an implausible section count.
+  emx::testing::WithPatchedField<uint64_t>(path, payload_bytes_off,
+                                           1ull << 40, fails);
+  emx::testing::WithPatchedField<uint64_t>(
+      path, offsetof(io::EmxmHeader, section_count), ~0ull, fails);
   std::remove(path.c_str());
 }
 

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <set>
 
+#include "io/emxm.h"
 #include "models/encoder.h"
 #include "models/transformer.h"
 #include "pretrain/corpus.h"
@@ -405,6 +406,14 @@ TEST(ModelZooTest, PretrainedModelIsCached) {
 
   auto b1 = GetPretrained(models::Architecture::kRoberta, zoo);
   ASSERT_TRUE(b1.ok()) << b1.status().ToString();
+  // The cached checkpoint is an EMXM1 container.
+  int64_t containers = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(zoo.cache_dir)) {
+    if (entry.path().extension() != ".emxm") continue;
+    EXPECT_TRUE(io::EmxmReader::Open(entry.path().string()).ok());
+    ++containers;
+  }
+  EXPECT_EQ(containers, 1);
   auto b2 = GetPretrained(models::Architecture::kRoberta, zoo);
   ASSERT_TRUE(b2.ok());
   // The cached load reproduces the exact weights.

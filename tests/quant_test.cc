@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/entity_matcher.h"
+#include "data/generators.h"
 #include "file_fuzz.h"
 #include "io/emxm.h"
 #include "nn/layers.h"
@@ -106,30 +107,12 @@ TEST(ObserverTest, HistogramObserverGrowsToCoverNewData) {
 
 // ---- Packing ----------------------------------------------------------------
 
-TEST(Int8GemmTest, PackUnpackRepackIsBitIdentical) {
-  Rng rng(11);
-  // Deliberately not multiples of the 4/16 packing blocks.
-  Tensor w = Tensor::Randn({7, 18}, &rng, 0.1f);
-  Tensor b = Tensor::Randn({18}, &rng, 0.05f);
-  QuantParams act = ChooseQuantParams(-2.0f, 2.0f);
-
-  PackedWeights fresh = PackWeights(w, b, act);
-  EXPECT_EQ(fresh.in, 7);
-  EXPECT_EQ(fresh.out, 18);
-  EXPECT_EQ(fresh.k_padded, 8);
-  EXPECT_EQ(fresh.n_padded, 32);
-
-  // The checkpoint round trip at the packing level: unpack to logical
-  // row-major int8, repack, and compare every derived field bit for bit.
-  std::vector<int8_t> qw = UnpackQuantizedWeights(fresh);
-  PackedWeights reloaded =
-      PackQuantizedWeights(fresh.in, fresh.out, qw, fresh.w_scales, fresh.bias,
-                           fresh.act);
-  EXPECT_EQ(fresh.data, reloaded.data);
-  EXPECT_EQ(fresh.col_sums, reloaded.col_sums);
-  EXPECT_EQ(fresh.w_scales, reloaded.w_scales);
-  EXPECT_EQ(fresh.fused_scale, reloaded.fused_scale);
-  EXPECT_EQ(fresh.bias, reloaded.bias);
+/// Reads logical weight [k][j] out of the packed layout documented on
+/// PackedWeights.
+int8_t PackedAt(const PackedWeights& w, int64_t k, int64_t j) {
+  const int64_t tile = (j / kColBlock) * (w.k_padded / kKGroup) + k / kKGroup;
+  const int64_t lane = (j % kColBlock) * kKGroup + k % kKGroup;
+  return w.packed_data()[tile * kColBlock * kKGroup + lane];
 }
 
 TEST(Int8GemmTest, PerChannelScalesBoundQuantizationError) {
@@ -137,12 +120,13 @@ TEST(Int8GemmTest, PerChannelScalesBoundQuantizationError) {
   Tensor w = Tensor::Randn({20, 9}, &rng, 0.1f);
   Tensor b = Tensor::Zeros({9});
   PackedWeights packed = PackWeights(w, b, ChooseQuantParams(-1.0f, 1.0f));
-  std::vector<int8_t> qw = UnpackQuantizedWeights(packed);
+  EXPECT_EQ(packed.k_padded, 20);
+  EXPECT_EQ(packed.n_padded, 16);
   for (int64_t k = 0; k < 20; ++k) {
     for (int64_t j = 0; j < 9; ++j) {
       const float orig = w.data()[k * 9 + j];
       const float deq = packed.w_scales[static_cast<size_t>(j)] *
-                        static_cast<float>(qw[static_cast<size_t>(k * 9 + j)]);
+                        static_cast<float>(PackedAt(packed, k, j));
       // Symmetric rounding error is at most half a step per channel.
       EXPECT_LE(std::fabs(orig - deq),
                 0.5f * packed.w_scales[static_cast<size_t>(j)] + 1e-7f)
@@ -197,9 +181,9 @@ TEST(Int8GemmTest, EpilogueFoldsZeroPointExactly) {
   }
 }
 
-// ---- QuantizedLinear golden -------------------------------------------------
+// ---- Int8LinearBackend golden ----------------------------------------------
 
-TEST(QuantizedLinearTest, MatchesFp32LinearWithinTolerance) {
+TEST(Int8LinearBackendTest, MatchesFp32LinearWithinTolerance) {
   Rng rng(15);
   nn::Linear lin(24, 17, &rng, /*init_stddev=*/0.1f);
   Tensor x = Tensor::Randn({10, 24}, &rng);
@@ -209,14 +193,17 @@ TEST(QuantizedLinearTest, MatchesFp32LinearWithinTolerance) {
     hi = std::max(hi, x[i]);
   }
 
-  QuantizedLinear ql(lin, ChooseQuantParams(lo, hi));
-  EXPECT_EQ(ql.in_features(), 24);
-  EXPECT_EQ(ql.out_features(), 17);
+  Int8LinearBackend backend;
+  backend.FreezeFromPacked(PackWeights(lin.weight().value(),
+                                       lin.bias().value(),
+                                       ChooseQuantParams(lo, hi)));
+  EXPECT_EQ(backend.packed().in, 24);
+  EXPECT_EQ(backend.packed().out, 17);
 
   NoGradGuard no_grad;
   nn::QuantModeGuard fp32_only(false);  // reference path, no backend routing
   Tensor ref = lin.Forward(Variable::Constant(x)).value();
-  Tensor got = ql.Forward(Variable::Constant(x)).value();
+  Tensor got = backend.Forward(x);
   ASSERT_EQ(ref.shape(), got.shape());
   // Documented tolerance: with u8 activations over the observed range and
   // s8 per-channel weights, the error budget is a few quantization steps —
@@ -232,15 +219,24 @@ TEST(QuantizedLinearTest, MatchesFp32LinearWithinTolerance) {
   EXPECT_LT(mean_err, 0.02f);
 }
 
-TEST(QuantizedLinearTest, PreservesLeadingDims) {
+TEST(Int8LinearBackendTest, AttachedLinearPreservesLeadingDims) {
   Rng rng(16);
   nn::Linear lin(8, 6, &rng);
-  QuantizedLinear ql(lin, ChooseQuantParams(-3.0f, 3.0f));
+  auto backend = std::make_shared<Int8LinearBackend>();
+  backend->FreezeFromPacked(PackWeights(lin.weight().value(),
+                                        lin.bias().value(),
+                                        ChooseQuantParams(-3.0f, 3.0f)));
+  lin.set_backend(backend);
   NoGradGuard no_grad;
   Tensor x = Tensor::Randn({2, 5, 8}, &rng);
-  Variable y = ql.Forward(Variable::Constant(x));
+  Variable y = lin.Forward(Variable::Constant(x));
   EXPECT_EQ(y.value().shape(), (Shape{2, 5, 6}));
   EXPECT_FALSE(y.requires_grad());
+  // The layer routed through the backend: same values as the 2-D call.
+  Tensor flat = backend->Forward(x.Reshape({10, 8}));
+  for (int64_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(y.value().data()[i], flat[i]) << i;
+  }
 }
 
 // ---- Activation LUT / fused FFN ---------------------------------------------
@@ -308,7 +304,7 @@ TEST(QuantizedFfnTest, FusedPipelineMatchesFp32FfnWithinTolerance) {
   }
 }
 
-TEST(QuantizedLinearTest, FreezeWithoutCalibrationFails) {
+TEST(Int8LinearBackendTest, FreezeWithoutCalibrationFails) {
   Rng rng(18);
   nn::Linear lin(4, 4, &rng);
   Int8LinearBackend backend;
@@ -408,125 +404,6 @@ TEST_F(QuantMatcherTest, QuantizeMatcherEndToEnd) {
   }
 }
 
-TEST_F(QuantMatcherTest, QuantizedCheckpointRoundTripIsBitIdentical) {
-  const std::string fp32_path = "/tmp/emx_quant_test_fp32.params";
-  const std::string quant_path = "/tmp/emx_quant_test_int8.params";
-  const std::vector<std::string> as = {"lenovo thinkpad x1 carbon",
-                                       "kitchenaid stand mixer"};
-  const std::vector<std::string> bs = {"thinkpad x1 carbon gen 9",
-                                       "kitchen aid artisan mixer"};
-
-  auto original = MakeMatcher();
-  ASSERT_TRUE(original->Save(fp32_path).ok());
-  auto report = QuantizeMatcher(original.get(), Calib());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  std::vector<double> expected = original->MatchProbabilities(as, bs);
-  ASSERT_TRUE(SaveQuantized(original.get(), quant_path).ok());
-
-  // A fresh matcher gets the fp32 weights (for the non-quantized layers:
-  // embeddings, layernorms, output head) plus the quantized checkpoint.
-  // No calibration pass — the saved grids are the calibration.
-  auto restored = MakeMatcher();
-  ASSERT_TRUE(restored->Load(fp32_path).ok());
-  Status load = LoadQuantized(restored.get(), quant_path);
-  ASSERT_TRUE(load.ok()) << load.ToString();
-  EXPECT_TRUE(IsQuantized(restored.get()));
-
-  std::vector<double> got = restored->MatchProbabilities(as, bs);
-  ASSERT_EQ(got.size(), expected.size());
-  // The acceptance-criteria golden: save -> load -> Predict is
-  // bit-identical to the freshly quantized model.
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "pair " << i;
-  }
-
-  std::filesystem::remove(fp32_path);
-  std::filesystem::remove(quant_path);
-}
-
-TEST_F(QuantMatcherTest, SaveQuantizedRequiresQuantizedMatcher) {
-  auto matcher = MakeMatcher();
-  Status s = SaveQuantized(matcher.get(), "/tmp/emx_quant_test_unused.bin");
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(QuantMatcherTest, LoadQuantizedRejectsWrongMagic) {
-  const std::string path = "/tmp/emx_quant_test_badmagic.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    const char garbage[] = "not a quantized checkpoint at all";
-    out.write(garbage, sizeof(garbage));
-  }
-  auto matcher = MakeMatcher();
-  Status s = LoadQuantized(matcher.get(), path);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(IsQuantized(matcher.get()));
-  std::filesystem::remove(path);
-}
-
-TEST_F(QuantMatcherTest, LoadQuantizedRejectsTruncatedFile) {
-  const std::string path = "/tmp/emx_quant_test_trunc.bin";
-  auto matcher = MakeMatcher();
-  auto report = QuantizeMatcher(matcher.get(), Calib());
-  ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(SaveQuantized(matcher.get(), path).ok());
-
-  // Chop the checkpoint in half, landing mid-payload.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 64u);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  }
-  auto fresh = MakeMatcher();
-  Status s = LoadQuantized(fresh.get(), path);
-  EXPECT_FALSE(s.ok());
-  // The bounds checks reject a short payload before the read can fail, so
-  // either code is a correct refusal.
-  EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument ||
-              s.code() == StatusCode::kIoError)
-      << s.ToString();
-  // A failed load leaves the matcher untouched.
-  EXPECT_FALSE(IsQuantized(fresh.get()));
-  std::filesystem::remove(path);
-}
-
-TEST_F(QuantMatcherTest, LoadQuantizedRejectsUnknownLayerName) {
-  const std::string path = "/tmp/emx_quant_test_unknown.bin";
-  {
-    // A syntactically valid file whose single entry names a layer the
-    // model does not have.
-    std::ofstream out(path, std::ios::binary);
-    const uint32_t magic = 0x454d5851, version = 1;
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    const uint64_t count = 1;
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    const std::string name = "nope";
-    const uint64_t len = name.size();
-    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    out.write(name.data(), static_cast<std::streamsize>(len));
-    const int64_t in_dim = 2, out_dim = 2;
-    out.write(reinterpret_cast<const char*>(&in_dim), sizeof(in_dim));
-    out.write(reinterpret_cast<const char*>(&out_dim), sizeof(out_dim));
-    const float scale = 0.1f;
-    const int32_t zp = 128;
-    out.write(reinterpret_cast<const char*>(&scale), sizeof(scale));
-    out.write(reinterpret_cast<const char*>(&zp), sizeof(zp));
-  }
-  auto matcher = MakeMatcher();
-  Status s = LoadQuantized(matcher.get(), path);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  EXPECT_FALSE(IsQuantized(matcher.get()));
-  std::filesystem::remove(path);
-}
-
 // ---- EMXM1 model container --------------------------------------------------
 
 TEST_F(QuantMatcherTest, ModelFileFp32RoundTripIsBitIdentical) {
@@ -580,6 +457,74 @@ TEST_F(QuantMatcherTest, ModelFileInt8RoundTripIsBitIdentical) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]) << "pair " << i;
   }
+  std::filesystem::remove(path);
+}
+
+TEST_F(QuantMatcherTest, SavedCheckpointServesMapped) {
+  const std::string saved = "/tmp/emx_quant_test_saved.emxm";
+  const std::string model_file = "/tmp/emx_quant_test_model_file.emxm";
+  const std::vector<std::string> as = {"lenovo thinkpad x1 carbon",
+                                       "kitchenaid stand mixer"};
+  const std::vector<std::string> bs = {"thinkpad x1 carbon gen 9",
+                                       "kitchen aid artisan mixer"};
+  auto original = MakeMatcher();
+  ASSERT_TRUE(original->Save(saved).ok());
+  // One writer: an unquantized matcher's model file is its checkpoint.
+  ASSERT_TRUE(SaveModelFile(original.get(), model_file).ok());
+  EXPECT_EQ(emx::testing::ReadFileBytes(saved),
+            emx::testing::ReadFileBytes(model_file));
+
+  auto mapped = MakeMatcher();
+  auto info = LoadModelFileMapped(mapped.get(), saved);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_FALSE(info.value().has_int8);
+  for (size_t i = 0; i < as.size(); ++i) {
+    EXPECT_EQ(mapped->MatchProbability(as[i], bs[i]),
+              original->MatchProbability(as[i], bs[i]))
+        << "pair " << i;
+  }
+  std::filesystem::remove(saved);
+  std::filesystem::remove(model_file);
+}
+
+TEST_F(QuantMatcherTest, QuantizedModelFileLoadsOwnedAndTrains) {
+  const std::string path = "/tmp/emx_quant_test_owned.emxm";
+  const std::vector<std::string> as = {"lenovo thinkpad x1 carbon",
+                                       "kitchenaid stand mixer"};
+  const std::vector<std::string> bs = {"thinkpad x1 carbon gen 9",
+                                       "kitchen aid artisan mixer"};
+  auto original = MakeMatcher();
+  ASSERT_TRUE(QuantizeMatcher(original.get(), Calib()).ok());
+  ASSERT_TRUE(SaveModelFile(original.get(), path).ok());
+
+  // Mapped first, so the owned load has read-only views to replace.
+  auto owned = MakeMatcher();
+  ASSERT_TRUE(LoadModelFileMapped(owned.get(), path).ok());
+  ClearQuantization(owned.get());
+  Status load = owned->Load(path);
+  ASSERT_TRUE(load.ok()) << load.ToString();
+  EXPECT_FALSE(IsQuantized(owned.get())) << "Load copies fp32 only";
+  {
+    nn::QuantModeGuard fp32_only(false);
+    for (size_t i = 0; i < as.size(); ++i) {
+      EXPECT_EQ(owned->MatchProbability(as[i], bs[i]),
+                original->MatchProbability(as[i], bs[i]))
+          << "pair " << i;
+    }
+  }
+
+  // The parameters are heap tensors again: one epoch of training writes
+  // them.
+  data::GeneratorOptions gopts;
+  gopts.scale = 0.01;
+  auto ds = data::GenerateDataset(data::DatasetId::kWalmartAmazon, gopts);
+  core::FineTuneOptions ft;
+  ft.epochs = 1;
+  ft.max_seq_len = kSeqLen;
+  const std::vector<nn::NamedParam> params = owned->classifier()->Parameters();
+  const std::vector<float> before = params.back().var.value().ToVector();
+  EXPECT_EQ(owned->FineTune(ds, ft).size(), 1u);
+  EXPECT_NE(params.back().var.value().ToVector(), before);
   std::filesystem::remove(path);
 }
 
@@ -652,24 +597,6 @@ TEST_F(QuantMatcherTest, ModelFileMissingSectionLeavesMatcherUntouched) {
         EXPECT_EQ(info.status().code(), StatusCode::kNotFound);
         EXPECT_FALSE(IsQuantized(fresh.get()));
       });
-  std::filesystem::remove(path);
-}
-
-TEST_F(QuantMatcherTest, QuantizedCheckpointEveryTruncationFailsCleanly) {
-  const std::string path = "/tmp/emx_quant_test_qtrunc.bin";
-  auto original = MakeMatcher();
-  auto report = QuantizeMatcher(original.get(), Calib());
-  ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(SaveQuantized(original.get(), path).ok());
-
-  auto fresh = MakeMatcher();
-  const size_t bytes = emx::testing::ReadFileBytes(path).size();
-  emx::testing::ExpectAllTruncationsFail(
-      path,
-      [&](const std::string& p) { return LoadQuantized(fresh.get(), p); },
-      /*stride=*/std::max<size_t>(1, bytes / 97),
-      /*boundaries=*/{4, 8, 16, 24, 25, 32});
-  EXPECT_FALSE(IsQuantized(fresh.get())) << "failed load mutated the matcher";
   std::filesystem::remove(path);
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -223,6 +224,43 @@ TEST(QGramIndexTest, SaveIsAtomicAndEveryTruncationFails) {
       [](const std::string& p) { return QGramIndex::Load(p).status(); },
       /*stride=*/std::max<size_t>(1, bytes / 97),
       /*boundaries=*/{4, 8, 12, 16, 24, 32});
+  std::filesystem::remove(path);
+}
+
+TEST(QGramIndexTest, HostileCountsAreRejectedBeforeAllocating) {
+  const std::string path = "/tmp/emx_retrieval_test_counts.bin";
+  QGramIndex index;
+  index.AddRecord("acer aspire 5");
+  index.AddRecord("asus zenbook 14");
+  index.AddRecord("dell xps 13");
+  ASSERT_TRUE(index.Save(path).ok());
+  // Layout: magic, then i64 qgram, index_tokens, max_postings, num_shards,
+  // next_id; shard 0's feature count; its first feature's key length, key
+  // bytes, df, stopped flag and id count.
+  const size_t next_id_off = 40, features_off = 48, key_len_off = 56;
+  int64_t key_len = 0;
+  const std::vector<uint8_t> bytes = emx::testing::ReadFileBytes(path);
+  ASSERT_GT(bytes.size(), key_len_off + 8);
+  std::memcpy(&key_len, bytes.data() + key_len_off, sizeof(key_len));
+  int64_t features = 0;
+  std::memcpy(&features, bytes.data() + features_off, sizeof(features));
+  ASSERT_GT(features, 0) << "shard 0 must hold a feature";
+  const size_t num_ids_off =
+      key_len_off + 8 + static_cast<size_t>(key_len) + 16;
+  auto fails = [](const std::string& patched) {
+    EXPECT_EQ(QGramIndex::Load(patched).status().code(),
+              StatusCode::kInvalidArgument);
+  };
+  const int64_t huge = int64_t{1} << 50;
+  emx::testing::WithPatchedField<int64_t>(path, features_off, huge, fails);
+  emx::testing::WithPatchedField<int64_t>(path, next_id_off, huge, fails);
+  emx::testing::WithPatchedField<int64_t>(path, key_len_off, huge, fails);
+  // An id count the record count allows but the file cannot hold.
+  emx::testing::WithPatchedField<int64_t>(
+      path, next_id_off, int64_t{1} << 32, [&](const std::string& patched) {
+        emx::testing::WithPatchedField<int64_t>(patched, num_ids_off,
+                                                int64_t{1} << 31, fails);
+      });
   std::filesystem::remove(path);
 }
 
@@ -686,6 +724,24 @@ TEST_F(CatalogMatcherTest, SaveIsAtomicAndEveryTruncationFails) {
       },
       /*stride=*/std::max<size_t>(1, bytes / 97),
       /*boundaries=*/{4, 8, 12, 16, 24, 32});
+  std::filesystem::remove(path);
+}
+
+TEST_F(CatalogMatcherTest, HostileCountsAreRejectedBeforeAllocating) {
+  const std::string path = "/tmp/emx_retrieval_test_catalog_counts.bin";
+  serve::MatcherEngine engine(Matcher(), EngineOpts());
+  CatalogOptions copts;
+  CatalogMatcher catalog(&engine, copts);
+  catalog.Add("acer aspire 5");
+  catalog.Add("asus zenbook 14");
+  ASSERT_TRUE(catalog.Save(path).ok());
+  // Layout: magic, i64 text count, then each text's i64 length and bytes.
+  auto fails = [&](const std::string& patched) {
+    EXPECT_EQ(CatalogMatcher::Load(patched, &engine, copts).status().code(),
+              StatusCode::kInvalidArgument);
+  };
+  emx::testing::WithPatchedField<int64_t>(path, 8, int64_t{1} << 50, fails);
+  emx::testing::WithPatchedField<int64_t>(path, 16, int64_t{1} << 40, fails);
   std::filesystem::remove(path);
 }
 
