@@ -9,8 +9,9 @@
 //
 //   ./catalog_search [--records N] [--queries N] [--save=PATH]
 //
-// --save=PATH round-trips the catalog through its binary format before
-// querying, demonstrating that persisted indexes answer identically.
+// --save=PATH round-trips the catalog through its EMXM1 file before
+// querying: the reloaded catalog serves the index and texts from the
+// mapping. Exits non-zero when a step or a query fails.
 //
 // The backbone keeps its random init so the demo starts in seconds; the
 // retrieval tier's ranking (which needs no training) is what to watch.
@@ -97,11 +98,13 @@ int main(int argc, char** argv) {
     std::printf("round-tripped the catalog through %s\n", save_path.c_str());
   }
 
+  int failed = 0;
   for (size_t q = 0; q < cat.queries.size(); ++q) {
     std::printf("\nquery %zu: %s\n", q, cat.queries[q].c_str());
     auto matches = serving->FindMatches(cat.queries[q]);
     if (!matches.ok()) {
       std::printf("  error: %s\n", matches.status().ToString().c_str());
+      ++failed;
       continue;
     }
     for (const retrieval::CatalogMatch& m : matches.value()) {
@@ -110,9 +113,21 @@ int main(int argc, char** argv) {
                   static_cast<long long>(m.id), m.retrieval_score,
                   m.probability, m.text.substr(0, 60).c_str());
     }
+    // The reloaded catalog must retrieve exactly what the built one does.
+    const auto want = catalog.index().TopK(cat.queries[q], copts.retrieve_k);
+    const auto got = serving->index().TopK(cat.queries[q], copts.retrieve_k);
+    bool same = want.size() == got.size();
+    for (size_t i = 0; same && i < got.size(); ++i) {
+      same = got[i].id == want[i].id && got[i].score == want[i].score &&
+             serving->Text(got[i].id) == catalog.Text(want[i].id);
+    }
+    if (!same) {
+      std::printf("  error: reloaded candidates differ from the built ones\n");
+      ++failed;
+    }
   }
 
   std::printf("\ncatalog metrics: %s\n",
               serving->registry()->ToJson().c_str());
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

@@ -20,7 +20,7 @@ bool RangeOk(uint64_t offset, uint64_t bytes, uint64_t limit) {
 
 bool KnownKind(uint32_t kind) {
   return kind >= static_cast<uint32_t>(SectionKind::kF32Tensor) &&
-         kind <= static_cast<uint32_t>(SectionKind::kManifest);
+         kind <= static_cast<uint32_t>(SectionKind::kIndexMeta);
 }
 
 // Caps far above any real model, far below an allocation that could hurt.

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,7 +40,9 @@ namespace io {
 //
 // A model file is a container with a "p:<name>" kF32Tensor section per
 // parameter, the int8 sections of a quantized matcher if it has them, and
-// a kManifest section named kManifestSection.
+// a kManifest section named kManifestSection. A retrieval index is a
+// container of "ridx:" sections and a catalog adds "cat:" text sections
+// (see retrieval/qgram_index.h).
 
 static_assert(std::endian::native == std::endian::little,
               "EMXM1 containers are little-endian and read in place; "
@@ -78,6 +81,15 @@ enum class SectionKind : uint32_t {
   /// Model manifest: payload = architecture name (unterminated bytes);
   /// aux = {fp32 tensor count, int8 linear count, ffn count}.
   kManifest = 6,
+  /// uint32 vector. aux[0] = count; payload = 4 * count bytes.
+  kU32Vec = 7,
+  /// uint64 vector. aux[0] = count; payload = 8 * count bytes.
+  kU64Vec = 8,
+  /// Byte blob (concatenated strings). aux[0] = count of bytes.
+  kBytes = 9,
+  /// Retrieval index header, no payload. aux = {qgram, index_tokens,
+  /// max_postings, num_shards, next_id, num_features}.
+  kIndexMeta = 10,
 };
 
 /// Name of a model file's manifest section.
@@ -156,6 +168,25 @@ class EmxmWriter {
   std::vector<Pending> sections_;
 };
 
+/// True when `offsets` starts at 0, never decreases and ends at `total`:
+/// the invariant of every CSR offset array read from a container. Counts
+/// the non-empty ranges into `*nonempty` when given.
+template <typename T>
+bool ValidOffsets(std::span<const T> offsets, uint64_t total,
+                  int64_t* nonempty = nullptr) {
+  if (offsets.empty() || offsets.front() != 0 || offsets.back() != total) {
+    return false;
+  }
+  bool decreasing = false;
+  int64_t ranges = 0;
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    decreasing |= offsets[i] > offsets[i + 1];
+    ranges += offsets[i] != offsets[i + 1];
+  }
+  if (nonempty != nullptr) *nonempty = ranges;
+  return !decreasing;
+}
+
 /// Opens a container by mmap and validates the entire structure up front:
 /// magic/version, header geometry, table and string-table bounds, per-
 /// section name bounds, payload bounds, payload alignment, known kinds,
@@ -172,6 +203,31 @@ class EmxmReader {
   const std::vector<Section>& sections() const { return sections_; }
   /// Null when no section has that name.
   const Section* Find(std::string_view name) const;
+
+  /// Section `name` as an array of T: InvalidArgument unless it exists,
+  /// has `kind`, aux[0] == `count` (any count for kAnyCount) and a payload
+  /// of exactly aux[0] elements. The span points into the mapping.
+  static constexpr uint64_t kAnyCount = ~0ull;
+  template <typename T>
+  Result<std::span<const T>> View(std::string_view name, SectionKind kind,
+                                  uint64_t count = kAnyCount) const {
+    const Section* s = Find(name);
+    if (s == nullptr || s->kind != kind) {
+      return Status::InvalidArgument("EMXM " + path() + ": no section " +
+                                     std::string(name) + " of kind " +
+                                     std::to_string(static_cast<int>(kind)));
+    }
+    const uint64_t n = s->aux[0];
+    if ((count != kAnyCount && n != count) || n > s->bytes / sizeof(T) ||
+        n * sizeof(T) != s->bytes) {
+      return Status::InvalidArgument(
+          "EMXM " + path() + ": section " + std::string(name) + " holds " +
+          std::to_string(s->bytes) + " bytes for " + std::to_string(n) +
+          " elements" +
+          (count == kAnyCount ? "" : ", expected " + std::to_string(count)));
+    }
+    return std::span<const T>(reinterpret_cast<const T*>(s->data), n);
+  }
 
   uint64_t file_bytes() const { return map_.size(); }
   const std::string& path() const { return map_.path(); }

@@ -1,7 +1,6 @@
 #include "quant/model_file.h"
 
 #include <array>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <utility>
@@ -23,26 +22,6 @@ std::string BiasName(const std::string& name) {
 }
 std::string CsName(const std::string& name) { return "q:" + name + ":cs"; }
 std::string FfnName(const std::string& name) { return "q:" + name + ":ffn"; }
-
-/// Fetches a section and checks kind + element count in one step.
-Result<const io::Section*> VecSection(const io::EmxmReader& reader,
-                                      const std::string& name,
-                                      io::SectionKind kind,
-                                      uint64_t expect_count,
-                                      uint64_t elem_bytes) {
-  const io::Section* s = reader.Find(name);
-  if (s == nullptr) {
-    return Status::NotFound("section '" + name + "' missing in " +
-                            reader.path());
-  }
-  if (s->kind != kind || s->aux[0] != expect_count ||
-      s->bytes != expect_count * elem_bytes) {
-    return Status::InvalidArgument("section '" + name + "' in " +
-                                   reader.path() +
-                                   " has the wrong kind or element count");
-  }
-  return s;
-}
 
 }  // namespace
 
@@ -151,33 +130,28 @@ Result<ModelFileInfo> LoadModelFileMapped(core::EntityMatcher* matcher,
       act.zero_point = static_cast<int32_t>(qw->aux[5]);
 
       const uint64_t out_u = static_cast<uint64_t>(out);
+      using io::SectionKind;
       EMX_ASSIGN_OR_RETURN(
-          const io::Section* ws,
-          VecSection(*reader, WsName(name), io::SectionKind::kF32Vec, out_u,
-                     sizeof(float)));
+          const std::span<const float> ws,
+          reader->View<float>(WsName(name), SectionKind::kF32Vec, out_u));
       EMX_ASSIGN_OR_RETURN(
-          const io::Section* bias,
-          VecSection(*reader, BiasName(name), io::SectionKind::kF32Vec,
-                     out_u, sizeof(float)));
+          const std::span<const float> bias,
+          reader->View<float>(BiasName(name), SectionKind::kF32Vec, out_u));
       EMX_ASSIGN_OR_RETURN(
-          const io::Section* cs,
-          VecSection(*reader, CsName(name), io::SectionKind::kI32Vec, out_u,
-                     sizeof(int32_t)));
+          const std::span<const int32_t> cs,
+          reader->View<int32_t>(CsName(name), SectionKind::kI32Vec, out_u));
 
       // The O(out) epilogue arrays are copied (they are cheap and keep
       // the struct layout uniform); only the O(in*out) packed image is
       // aliased, with the reader as keepalive.
-      std::vector<float> w_scales(out_u), bias_v(out_u);
-      std::vector<int32_t> col_sums(out_u);
-      std::memcpy(w_scales.data(), ws->data, ws->bytes);
-      std::memcpy(bias_v.data(), bias->data, bias->bytes);
-      std::memcpy(col_sums.data(), cs->data, cs->bytes);
       EMX_ASSIGN_OR_RETURN(
           PackedWeights packed,
           ViewPackedWeights(in, out,
                             reinterpret_cast<const int8_t*>(qw->data),
-                            qw->bytes, reader, std::move(w_scales),
-                            std::move(bias_v), std::move(col_sums), act));
+                            qw->bytes, reader,
+                            std::vector<float>(ws.begin(), ws.end()),
+                            std::vector<float>(bias.begin(), bias.end()),
+                            std::vector<int32_t>(cs.begin(), cs.end()), act));
       if (static_cast<int64_t>(qw->aux[2]) != packed.k_padded ||
           static_cast<int64_t>(qw->aux[3]) != packed.n_padded) {
         return Status::InvalidArgument("section '" + QwName(name) + "' in " +

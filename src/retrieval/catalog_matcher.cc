@@ -2,28 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <future>
 #include <utility>
 
-#include "io/atomic_file.h"
+#include "io/emxm.h"
 #include "obs/trace.h"
 
 namespace emx {
 namespace retrieval {
 namespace {
 
-constexpr char kMagic[8] = {'E', 'M', 'X', 'C', 'A', 'T', '0', '1'};
-
-void WriteI64(std::ostream& out, int64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadI64(std::istream& in, int64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in.good();
-}
+constexpr char kTextOffsetsSection[] = "cat:text_offsets";
+constexpr char kTextsSection[] = "cat:texts";
 
 bool MatchOrder(const CatalogMatch& a, const CatalogMatch& b) {
   if (a.probability != b.probability) return a.probability > b.probability;
@@ -91,13 +81,29 @@ void CatalogMatcher::WarmTexts(const std::vector<std::string>& texts) {
 
 int64_t CatalogMatcher::size() const {
   std::shared_lock<std::shared_mutex> lock(texts_mu_);
-  return static_cast<int64_t>(texts_.size());
+  return NumBaseTexts() + static_cast<int64_t>(texts_.size());
+}
+
+int64_t CatalogMatcher::NumBaseTexts() const {
+  return std::max<int64_t>(0, static_cast<int64_t>(base_offsets_.size()) - 1);
+}
+
+std::string_view CatalogMatcher::TextLocked(int64_t id) const {
+  const int64_t num_base = NumBaseTexts();
+  if (id < 0) return {};
+  if (id < num_base) {
+    const uint64_t begin = base_offsets_[static_cast<size_t>(id)];
+    return {base_texts_.data() + begin,
+            base_offsets_[static_cast<size_t>(id) + 1] - begin};
+  }
+  const auto added = static_cast<size_t>(id - num_base);
+  return added < texts_.size() ? std::string_view(texts_[added])
+                               : std::string_view();
 }
 
 std::string CatalogMatcher::Text(int64_t id) const {
   std::shared_lock<std::shared_mutex> lock(texts_mu_);
-  if (id < 0 || id >= static_cast<int64_t>(texts_.size())) return "";
-  return texts_[static_cast<size_t>(id)];
+  return std::string(TextLocked(id));
 }
 
 Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
@@ -142,10 +148,8 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
     {
       std::shared_lock<std::shared_mutex> lock(texts_mu_);
       for (int64_t i = 0; i < rerank; ++i) {
-        const int64_t id = cands[static_cast<size_t>(i)].id;
-        if (id >= 0 && id < static_cast<int64_t>(texts_.size())) {
-          texts[static_cast<size_t>(i)] = texts_[static_cast<size_t>(id)];
-        }
+        texts[static_cast<size_t>(i)] =
+            TextLocked(cands[static_cast<size_t>(i)].id);
       }
     }
     for (int64_t i = 0; i < rerank; ++i) {
@@ -183,65 +187,48 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
 }
 
 Status CatalogMatcher::Save(const std::string& path) const {
-  io::AtomicFileWriter writer(path);
-  EMX_RETURN_IF_ERROR(writer.status());
-  std::ofstream& out = writer.stream();
   std::shared_lock<std::shared_mutex> lock(texts_mu_);
-  out.write(kMagic, sizeof(kMagic));
-  WriteI64(out, static_cast<int64_t>(texts_.size()));
+  std::string blob(base_texts_.begin(), base_texts_.end());
+  std::vector<uint64_t> offsets(base_offsets_.begin(), base_offsets_.end());
+  if (offsets.empty()) offsets.push_back(0);
   for (const std::string& t : texts_) {
-    WriteI64(out, static_cast<int64_t>(t.size()));
-    out.write(t.data(), static_cast<std::streamsize>(t.size()));
+    blob += t;
+    offsets.push_back(blob.size());
   }
-  EMX_RETURN_IF_ERROR(index_.SaveTo(out));
-  return writer.Commit();
+  return index_.Save(path, [&](io::EmxmWriter* writer) {
+    writer->AddSection(kTextOffsetsSection, io::SectionKind::kU64Vec,
+                       {offsets.size(), 0, 0, 0, 0, 0}, offsets.data(),
+                       offsets.size() * sizeof(uint64_t));
+    writer->AddSection(kTextsSection, io::SectionKind::kBytes,
+                       {blob.size(), 0, 0, 0, 0, 0}, blob.data(), blob.size());
+    return Status::OK();
+  });
 }
 
 Result<std::unique_ptr<CatalogMatcher>> CatalogMatcher::Load(
     const std::string& path, serve::MatcherEngine* engine,
     CatalogOptions options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an EMXCAT01 catalog file");
+  EMX_ASSIGN_OR_RETURN(std::shared_ptr<const io::EmxmReader> file,
+                       io::EmxmReader::Open(path));
+  EMX_ASSIGN_OR_RETURN(QGramIndex index, QGramIndex::FromFile(file));
+  const auto num_texts = static_cast<uint64_t>(index.size());
+  EMX_ASSIGN_OR_RETURN(
+      std::span<const uint64_t> offsets,
+      file->View<uint64_t>(kTextOffsetsSection, io::SectionKind::kU64Vec,
+                           num_texts + 1));
+  EMX_ASSIGN_OR_RETURN(
+      std::span<const char> texts,
+      file->View<char>(kTextsSection, io::SectionKind::kBytes));
+  if (!io::ValidOffsets(offsets, texts.size())) {
+    return Status::InvalidArgument("catalog " + path +
+                                   ": text offsets out of range");
   }
-  int64_t num_texts = 0;
-  if (!ReadI64(in, &num_texts) || num_texts < 0) {
-    return Status::IoError("truncated catalog header");
-  }
-  // Each text carries at least its 8-byte length; `left` bounds every
-  // count and length before it sizes an allocation.
-  uint64_t left = BytesLeft(in);
-  if (static_cast<uint64_t>(num_texts) > left / sizeof(int64_t)) {
-    return Status::InvalidArgument("catalog text count exceeds file size");
-  }
-  std::vector<std::string> texts;
-  texts.reserve(static_cast<size_t>(num_texts));
-  for (int64_t i = 0; i < num_texts; ++i) {
-    int64_t len = 0;
-    if (!ReadI64(in, &len)) return Status::IoError("truncated catalog text");
-    left -= sizeof(len);
-    if (len < 0 || static_cast<uint64_t>(len) > left) {
-      return Status::InvalidArgument("corrupt catalog text length");
-    }
-    std::string t(static_cast<size_t>(len), '\0');
-    in.read(t.data(), len);
-    if (!in.good()) return Status::IoError("truncated catalog text");
-    left -= static_cast<uint64_t>(len);
-    texts.push_back(std::move(t));
-  }
-  auto index = QGramIndex::LoadFrom(in);
-  if (!index.ok()) return index.status();
-  if (index.value().size() != num_texts) {
-    return Status::InvalidArgument("catalog text/index size mismatch");
-  }
-  options.index = index.value().options();
+  options.index = index.options();
   auto matcher = std::make_unique<CatalogMatcher>(engine, options);
-  matcher->index_ = std::move(index).value();
-  matcher->texts_ = std::move(texts);
-  matcher->records_->Add(num_texts);
+  matcher->index_ = std::move(index);
+  matcher->base_offsets_ = offsets;
+  matcher->base_texts_ = texts;
+  matcher->records_->Add(static_cast<int64_t>(num_texts));
   return matcher;
 }
 

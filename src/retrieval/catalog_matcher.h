@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,7 +63,12 @@ struct CatalogMatch {
 /// Concurrency: Add/AddBatch and FindMatches may run concurrently.
 /// Catalog texts live behind a reader-writer lock; the index has its own
 /// per-shard locks (see QGramIndex). Ingest is serialized so record id i
-/// is always texts_[i].
+/// is always the i-th text.
+///
+/// Persistence: one EMXM1 container holds the index's "ridx:" sections
+/// and the texts as one blob ("cat:texts") with u64 offsets
+/// ("cat:text_offsets"). A loaded catalog serves base texts from the
+/// mapping; texts added later live on the heap until the next Save.
 ///
 /// Instrumentation: a private obs::MetricsRegistry carries
 /// catalog.{queries,records,rerank_failures} counters and
@@ -97,12 +103,14 @@ class CatalogMatcher {
   /// catalog.* counters/histograms (JSON via registry()->ToJson()).
   obs::MetricsRegistry* registry() { return &registry_; }
 
-  /// Persists texts + index (binary, canonical bytes — see QGramIndex).
-  /// Save requires ingest quiescence.
+  /// Persists texts + index (canonical bytes — see QGramIndex). Save
+  /// requires ingest quiescence; it may target the file this catalog was
+  /// loaded from (the mapping keeps the old version alive).
   Status Save(const std::string& path) const;
-  /// Restores a catalog; `options.index` is ignored in favor of the saved
-  /// index options. The loaded matcher's FindMatches results are
-  /// bit-identical to the saved one's (given the same engine weights).
+  /// Maps a saved catalog after checking the whole file; `options.index`
+  /// is ignored in favor of the saved index options. The loaded matcher's
+  /// FindMatches results are bit-identical to the saved one's (given the
+  /// same engine weights).
   static Result<std::unique_ptr<CatalogMatcher>> Load(
       const std::string& path, serve::MatcherEngine* engine,
       CatalogOptions options = {});
@@ -113,12 +121,20 @@ class CatalogMatcher {
   /// texts_mu_ — warming runs engine forwards and must not stall ingest
   /// readers.
   void WarmTexts(const std::vector<std::string>& texts);
+  int64_t NumBaseTexts() const;
+  /// Record `id`'s text; empty when out of range. Caller holds texts_mu_.
+  std::string_view TextLocked(int64_t id) const;
 
   serve::MatcherEngine* engine_;
   CatalogOptions options_;
   QGramIndex index_;
 
   mutable std::shared_mutex texts_mu_;
+  /// Loaded texts: base_offsets_ (one more than the count) into
+  /// base_texts_, both in the index's mapping.
+  std::span<const uint64_t> base_offsets_;
+  std::span<const char> base_texts_;
+  /// Texts added since the load.
   std::vector<std::string> texts_;
 
   obs::MetricsRegistry registry_;

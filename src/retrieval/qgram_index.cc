@@ -1,13 +1,13 @@
 #include "retrieval/qgram_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
-#include <cstring>
-#include <fstream>
+#include <functional>
+#include <limits>
 #include <unordered_set>
 
-#include "io/atomic_file.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -16,20 +16,36 @@ namespace emx {
 namespace retrieval {
 namespace {
 
-constexpr char kMagic[8] = {'E', 'M', 'X', 'R', 'I', 'D', 'X', '1'};
+constexpr char kMetaSection[] = "ridx:meta";
+constexpr char kKeysSection[] = "ridx:keys";
+constexpr char kKeyOffsetsSection[] = "ridx:key_offsets";
+constexpr char kDfSection[] = "ridx:df";
+
+std::string ShardSection(int64_t shard, const char* what) {
+  return "ridx:shard" + std::to_string(shard) + ":" + what;
+}
 
 // Ingest batches are chunked so AddBatch never materializes the feature
 // lists of more than this many records at once (a million-record batch
 // would otherwise hold ~10 GB of transient feature strings).
 constexpr int64_t kIngestChunk = 4096;
 
-void WriteI64(std::ostream& out, int64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+Status Corrupt(const io::EmxmReader& file, const std::string& what) {
+  return Status::InvalidArgument("retrieval index " + file.path() + ": " +
+                                 what);
 }
 
-bool ReadI64(std::istream& in, int64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in.good();
+/// Every id is a record below `next_id` of shard `shard` of `shards`.
+bool PostingsInShard(std::span<const uint32_t> ids, uint64_t next_id,
+                     uint32_t shards, uint32_t shard) {
+  bool bad = false;
+  if (std::has_single_bit(shards)) {
+    const uint32_t mask = shards - 1;
+    for (uint32_t id : ids) bad |= (id >= next_id) | ((id & mask) != shard);
+  } else {
+    for (uint32_t id : ids) bad |= (id >= next_id) | (id % shards != shard);
+  }
+  return !bad;
 }
 
 /// Idf weight of a feature seen in `df` of `n` records. The +1 smoothing
@@ -46,7 +62,8 @@ bool ScoreOrder(const ScoredId& a, const ScoredId& b) {
 
 }  // namespace
 
-QGramIndex::QGramIndex(IndexOptions options) : options_(options) {
+QGramIndex::QGramIndex(IndexOptions options)
+    : options_(options), extra_(std::make_unique<Extra>()) {
   options_.num_shards = std::max<int64_t>(1, options_.num_shards);
   options_.qgram = std::max<int64_t>(0, options_.qgram);
   options_.max_postings = std::max<int64_t>(1, options_.max_postings);
@@ -54,14 +71,19 @@ QGramIndex::QGramIndex(IndexOptions options) : options_(options) {
 }
 
 QGramIndex::QGramIndex(QGramIndex&& other) noexcept
-    : options_(other.options_), shards_(std::move(other.shards_)) {
+    : options_(other.options_),
+      base_(std::move(other.base_)),
+      shards_(std::move(other.shards_)),
+      extra_(std::move(other.extra_)) {
   next_id_.store(other.next_id_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
 }
 
 QGramIndex& QGramIndex::operator=(QGramIndex&& other) noexcept {
   options_ = other.options_;
+  base_ = std::move(other.base_);
   shards_ = std::move(other.shards_);
+  extra_ = std::move(other.extra_);
   next_id_.store(other.next_id_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
   return *this;
@@ -126,36 +148,104 @@ std::vector<std::string> QGramIndex::Features(std::string_view text) const {
   return out;
 }
 
-void QGramIndex::Insert(int64_t id, const std::vector<std::string>& features) {
-  Shard& shard = shards_[static_cast<size_t>(id % options_.num_shards)];
-  const int64_t cap = per_shard_cap();
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  for (const std::string& f : features) {
-    PostingList& pl = shard.features[f];
-    ++pl.df;
-    if (pl.stopped) continue;
-    if (pl.df > cap) {
-      // Crossed the cap: demote to a stop feature and free its postings.
-      pl.stopped = true;
-      ++shard.stop_count;
-      pl.ids.clear();
-      pl.ids.shrink_to_fit();
+std::string_view QGramIndex::Base::Key(uint32_t f) const {
+  return {keys.data() + key_offsets[f], key_offsets[f + 1] - key_offsets[f]};
+}
+
+int64_t QGramIndex::Base::Find(std::string_view key) const {
+  // Feature ids are key ranks. Load does not check that the keys are
+  // sorted: a hand-written search keeps an unsorted (hostile) dictionary
+  // to wrong ids, where std::lower_bound's precondition would not.
+  uint32_t lo = 0, hi = num_features();
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (Key(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < num_features() && Key(lo) == key ? int64_t{lo} : -1;
+}
+
+std::span<const uint32_t> QGramIndex::Base::Postings(int64_t shard,
+                                                     int64_t f) const {
+  if (f >= static_cast<int64_t>(df.size())) return {};
+  const ShardCsr& csr = shards[static_cast<size_t>(shard)];
+  const auto row = static_cast<size_t>(f);
+  return csr.ids.subspan(csr.offsets[row],
+                         csr.offsets[row + 1] - csr.offsets[row]);
+}
+
+bool QGramIndex::Base::Stopped(int64_t shard, uint32_t f) const {
+  if (f >= df.size()) return false;
+  const auto& stops = shards[static_cast<size_t>(shard)].stops;
+  return std::binary_search(stops.begin(), stops.end(), f);
+}
+
+QGramIndex::Extra::Stripe& QGramIndex::Extra::Of(std::string_view key) {
+  return stripes[std::hash<std::string_view>{}(key) % stripes.size()];
+}
+
+std::vector<uint32_t> QGramIndex::Intern(std::string_view text) {
+  std::vector<std::string> features = Features(text);
+  std::vector<uint32_t> ids(features.size());
+  for (size_t i = 0; i < features.size(); ++i) {
+    if (const int64_t f = base_.Find(features[i]); f >= 0) {
+      ids[i] = static_cast<uint32_t>(f);
       continue;
     }
-    pl.ids.push_back(static_cast<uint32_t>(id));
+    Extra::Stripe& stripe = extra_->Of(features[i]);
+    std::unique_lock<std::shared_mutex> lock(stripe.mu);
+    auto [it, added] = stripe.ids.try_emplace(std::move(features[i]), 0);
+    if (added) {
+      it->second = base_.num_features() +
+                   extra_->count.fetch_add(1, std::memory_order_relaxed);
+    }
+    ids[i] = it->second;
+  }
+  return ids;
+}
+
+void QGramIndex::Insert(int64_t id, const std::vector<uint32_t>& features) {
+  const int64_t s = id % options_.num_shards;
+  Shard& shard = shards_[static_cast<size_t>(s)];
+  const int64_t cap = per_shard_cap();
+  std::unique_lock<std::shared_mutex> lock(shard.mu);
+  for (uint32_t f : features) {
+    auto [it, fresh] = shard.delta.try_emplace(f);
+    DeltaList& list = it->second;
+    if (fresh) list.stopped = base_.Stopped(s, f);
+    ++list.df;
+    if (list.stopped) continue;
+    // The shard's df: the base's postings (kept until the cap) plus the
+    // records added since.
+    const auto base = static_cast<int64_t>(base_.Postings(s, f).size());
+    if (base + list.df > cap) {
+      // Crossed the cap: demote to a stop feature and free its postings
+      // (the base's are skipped from now on).
+      list.stopped = true;
+      ++shard.stops;
+      --shard.live;
+      list.ids.clear();
+      list.ids.shrink_to_fit();
+      continue;
+    }
+    if (base == 0 && list.ids.empty()) ++shard.live;
+    list.ids.push_back(static_cast<uint32_t>(id));
   }
 }
 
 int64_t QGramIndex::AddRecord(std::string_view text) {
   const int64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  Insert(id, Features(text));
+  Insert(id, Intern(text));
   return id;
 }
 
 int64_t QGramIndex::AddBatch(const std::vector<std::string>& texts) {
   const int64_t n = static_cast<int64_t>(texts.size());
   const int64_t base = next_id_.fetch_add(n, std::memory_order_relaxed);
-  std::vector<std::vector<std::string>> features(
+  std::vector<std::vector<uint32_t>> features(
       static_cast<size_t>(std::min(n, kIngestChunk)));
   for (int64_t chunk = 0; chunk < n; chunk += kIngestChunk) {
     const int64_t end = std::min(n, chunk + kIngestChunk);
@@ -164,7 +254,7 @@ int64_t QGramIndex::AddBatch(const std::vector<std::string>& texts) {
       ParallelFor(end - chunk, 64, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
           features[static_cast<size_t>(i)] =
-              Features(texts[static_cast<size_t>(chunk + i)]);
+              Intern(texts[static_cast<size_t>(chunk + i)]);
         }
       });
     }
@@ -192,7 +282,7 @@ int64_t QGramIndex::num_features() const {
   for (int64_t s = 0; s < options_.num_shards; ++s) {
     Shard& shard = shards_[static_cast<size_t>(s)];
     std::shared_lock<std::shared_mutex> lock(shard.mu);
-    total += static_cast<int64_t>(shard.features.size()) - shard.stop_count;
+    total += shard.live;
   }
   return total;
 }
@@ -202,7 +292,7 @@ int64_t QGramIndex::num_stop_features() const {
   for (int64_t s = 0; s < options_.num_shards; ++s) {
     Shard& shard = shards_[static_cast<size_t>(s)];
     std::shared_lock<std::shared_mutex> lock(shard.mu);
-    total += shard.stop_count;
+    total += shard.stops;
   }
   return total;
 }
@@ -218,19 +308,35 @@ std::vector<ScoredId> QGramIndex::TopK(std::string_view query,
   }
   if (features.empty()) return {};
 
-  // Pass 1: global document frequency per feature (summed across shards)
-  // fixes one idf weight per feature, so candidates in different shards are
-  // scored on the same scale.
+  // Pass 1: each feature resolves to its id once (-1: no record has it),
+  // and its global document frequency — the base's plus what each shard
+  // added since — fixes one idf weight per feature, so candidates in
+  // different shards are scored on the same scale.
+  std::vector<int64_t> ids(features.size(), -1);
   std::vector<double> weights(features.size(), 0);
   {
     EMX_TRACE_SPAN("retrieval.weights");
     std::vector<int64_t> df(features.size(), 0);
+    for (size_t i = 0; i < features.size(); ++i) {
+      ids[i] = base_.Find(features[i]);
+      if (ids[i] >= 0) {
+        df[i] = base_.df[static_cast<size_t>(ids[i])];
+        continue;
+      }
+      const Extra::Stripe& stripe = extra_->Of(features[i]);
+      std::shared_lock<std::shared_mutex> lock(stripe.mu);
+      if (auto it = stripe.ids.find(features[i]); it != stripe.ids.end()) {
+        ids[i] = it->second;
+      }
+    }
     for (int64_t s = 0; s < options_.num_shards; ++s) {
       Shard& shard = shards_[static_cast<size_t>(s)];
       std::shared_lock<std::shared_mutex> lock(shard.mu);
+      if (shard.delta.empty()) continue;
       for (size_t i = 0; i < features.size(); ++i) {
-        auto it = shard.features.find(features[i]);
-        if (it != shard.features.end()) df[i] += it->second.df;
+        if (ids[i] < 0) continue;
+        auto it = shard.delta.find(static_cast<uint32_t>(ids[i]));
+        if (it != shard.delta.end()) df[i] += it->second.df;
       }
     }
     for (size_t i = 0; i < features.size(); ++i) {
@@ -274,6 +380,22 @@ std::vector<ScoredId> QGramIndex::TopK(std::string_view query,
         // unpruned path, so survivors score bit-identically.
         bool closed = false;
         double max_score = 0;
+        auto accumulate = [&](std::span<const uint32_t> postings, double w) {
+          if (closed) {
+            for (uint32_t id : postings) {
+              double& score = acc[id / ns];
+              if (score != 0) score += w;
+            }
+          } else {
+            for (uint32_t id : postings) {
+              const uint32_t l = id / ns;
+              double& score = acc[l];
+              if (score == 0) touched.push_back(l);
+              score += w;
+              max_score = std::max(max_score, score);
+            }
+          }
+        };
         {
           std::shared_lock<std::shared_mutex> lock(shard.mu);
           // Sized under the lock: postings may hold ids newer than `n`.
@@ -296,23 +418,17 @@ std::vector<ScoredId> QGramIndex::TopK(std::string_view query,
               for (uint32_t l : touched) above += acc[l] > bound;
               if (above >= k) closed = true;
             }
-            auto it = shard.features.find(features[i]);
-            if (it == shard.features.end() || it->second.stopped) continue;
-            const double w = weights[i];
-            if (closed) {
-              for (uint32_t id : it->second.ids) {
-                double& score = acc[id / ns];
-                if (score != 0) score += w;
-              }
-            } else {
-              for (uint32_t id : it->second.ids) {
-                const uint32_t l = id / ns;
-                double& score = acc[l];
-                if (score == 0) touched.push_back(l);
-                score += w;
-                max_score = std::max(max_score, score);
-              }
+            if (ids[i] < 0) continue;
+            const DeltaList* delta = nullptr;
+            if (!shard.delta.empty()) {
+              auto it = shard.delta.find(static_cast<uint32_t>(ids[i]));
+              if (it != shard.delta.end()) delta = &it->second;
             }
+            // A stop feature's base row is empty; one stopped since the
+            // base is skipped here.
+            if (delta != nullptr && delta->stopped) continue;
+            accumulate(base_.Postings(s, ids[i]), weights[i]);
+            if (delta != nullptr) accumulate(delta->ids, weights[i]);
           }
         }
         std::vector<ScoredId>& local = per_shard[static_cast<size_t>(s)];
@@ -344,145 +460,182 @@ std::vector<ScoredId> QGramIndex::TopK(std::string_view query,
   return merged;
 }
 
-Status QGramIndex::SaveTo(std::ostream& out) const {
-  // Writer-exclude every shard for the duration: a save is a consistent
+Status QGramIndex::Save(const std::string& path) const {
+  return Save(path, [](io::EmxmWriter*) { return Status::OK(); });
+}
+
+Status QGramIndex::Save(
+    const std::string& path,
+    const std::function<Status(io::EmxmWriter*)>& add_sections) const {
+  // Reader-lock every shard and the dictionary: a save is a consistent
   // snapshot, not a racing reader.
   std::vector<std::shared_lock<std::shared_mutex>> locks;
-  locks.reserve(static_cast<size_t>(options_.num_shards));
   for (int64_t s = 0; s < options_.num_shards; ++s) {
     locks.emplace_back(shards_[static_cast<size_t>(s)].mu);
   }
-
-  out.write(kMagic, sizeof(kMagic));
-  WriteI64(out, options_.qgram);
-  WriteI64(out, options_.index_tokens ? 1 : 0);
-  WriteI64(out, options_.max_postings);
-  WriteI64(out, options_.num_shards);
-  WriteI64(out, next_id_.load(std::memory_order_relaxed));
-
-  std::vector<const std::string*> keys;
+  for (const Extra::Stripe& stripe : extra_->stripes) {
+    locks.emplace_back(stripe.mu);
+  }
+  const uint32_t num_base = base_.num_features();
+  std::vector<std::string_view> keys(num_base + extra_->count.load());
+  std::vector<uint64_t> df(keys.size(), 0);
+  for (uint32_t f = 0; f < num_base; ++f) {
+    keys[f] = base_.Key(f);
+    df[f] = base_.df[f];
+  }
+  for (const Extra::Stripe& stripe : extra_->stripes) {
+    for (const auto& [key, f] : stripe.ids) keys[f] = key;
+  }
   for (int64_t s = 0; s < options_.num_shards; ++s) {
-    const Shard& shard = shards_[static_cast<size_t>(s)];
-    WriteI64(out, static_cast<int64_t>(shard.features.size()));
-    // Canonical order: identical index states serialize to identical bytes
-    // regardless of hash-map iteration order.
-    keys.clear();
-    keys.reserve(shard.features.size());
-    for (const auto& [key, pl] : shard.features) keys.push_back(&key);
-    std::sort(keys.begin(), keys.end(),
-              [](const std::string* a, const std::string* b) { return *a < *b; });
-    for (const std::string* key : keys) {
-      const PostingList& pl = shard.features.at(*key);
-      WriteI64(out, static_cast<int64_t>(key->size()));
-      out.write(key->data(), static_cast<std::streamsize>(key->size()));
-      WriteI64(out, pl.df);
-      WriteI64(out, pl.stopped ? 1 : 0);
-      WriteI64(out, static_cast<int64_t>(pl.ids.size()));
-      out.write(reinterpret_cast<const char*>(pl.ids.data()),
-                static_cast<std::streamsize>(pl.ids.size() * sizeof(uint32_t)));
+    for (const auto& [f, list] : shards_[static_cast<size_t>(s)].delta) {
+      df[f] += static_cast<uint64_t>(list.df);
     }
   }
-  if (!out.good()) return Status::IoError("index serialization failed");
-  return Status::OK();
-}
+  // Saved order: every feature a record holds, keys in byte order.
+  std::vector<uint32_t> order;
+  for (uint32_t f = 0; f < keys.size(); ++f) {
+    if (df[f] > 0) order.push_back(f);
+  }
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
 
-Status QGramIndex::Save(const std::string& path) const {
-  io::AtomicFileWriter writer(path);
-  EMX_RETURN_IF_ERROR(writer.status());
-  EMX_RETURN_IF_ERROR(SaveTo(writer.stream()));
-  return writer.Commit();
-}
+  const uint64_t n = order.size();
+  std::string key_bytes;
+  std::vector<uint32_t> key_offsets{0}, saved_df;
+  for (uint32_t old : order) {
+    key_bytes += keys[old];
+    key_offsets.push_back(static_cast<uint32_t>(key_bytes.size()));
+    saved_df.push_back(static_cast<uint32_t>(df[old]));
+  }
+  constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  bool too_large = n >= kMaxU32 || key_bytes.size() > kMaxU32;
 
-Result<QGramIndex> QGramIndex::LoadFrom(std::istream& in) {
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an EMXRIDX1 index file");
-  }
-  // Every count below is checked against what is left of the stream
-  // before it sizes a container; `left` follows each read.
-  uint64_t left = BytesLeft(in);
-  auto read_i64 = [&](int64_t* v) {
-    if (!ReadI64(in, v)) return false;
-    left -= sizeof(*v);
-    return true;
-  };
-  IndexOptions options;
-  int64_t index_tokens = 0, next_id = 0;
-  if (!read_i64(&options.qgram) || !read_i64(&index_tokens) ||
-      !read_i64(&options.max_postings) || !read_i64(&options.num_shards) ||
-      !read_i64(&next_id)) {
-    return Status::IoError("truncated index header");
-  }
-  options.index_tokens = index_tokens != 0;
-  // Ids are stored as uint32, and TopK sizes its accumulators by next_id.
-  if (options.num_shards <= 0 || options.num_shards > (1 << 20) ||
-      next_id < 0 || next_id > (int64_t{1} << 32)) {
-    return Status::InvalidArgument("corrupt index header");
-  }
-  // The smallest feature entry: key length, df, stopped flag, id count.
-  constexpr uint64_t kMinFeatureBytes = 4 * sizeof(int64_t);
-  QGramIndex index(options);
-  index.next_id_.store(next_id, std::memory_order_relaxed);
-  for (int64_t s = 0; s < options.num_shards; ++s) {
-    Shard& shard = index.shards_[static_cast<size_t>(s)];
-    int64_t num_features = 0;
-    if (!read_i64(&num_features) || num_features < 0) {
-      return Status::IoError("truncated shard header");
-    }
-    if (static_cast<uint64_t>(num_features) > left / kMinFeatureBytes) {
-      return Status::InvalidArgument("feature count exceeds file size");
-    }
-    shard.features.reserve(static_cast<size_t>(num_features));
-    for (int64_t f = 0; f < num_features; ++f) {
-      int64_t key_len = 0;
-      if (!read_i64(&key_len) || key_len < 0 ||
-          static_cast<uint64_t>(key_len) > left) {
-        return Status::InvalidArgument("corrupt feature key length");
-      }
-      std::string key(static_cast<size_t>(key_len), '\0');
-      in.read(key.data(), key_len);
-      left -= static_cast<uint64_t>(key_len);
-      PostingList pl;
-      int64_t stopped = 0, num_ids = 0;
-      if (!read_i64(&pl.df) || !read_i64(&stopped) || !read_i64(&num_ids) ||
-          num_ids < 0 || num_ids > next_id ||
-          static_cast<uint64_t>(num_ids) > left / sizeof(uint32_t)) {
-        return Status::InvalidArgument("corrupt posting list header");
-      }
-      pl.stopped = stopped != 0;
-      if (pl.stopped) ++shard.stop_count;
-      pl.ids.resize(static_cast<size_t>(num_ids));
-      in.read(reinterpret_cast<char*>(pl.ids.data()),
-              static_cast<std::streamsize>(pl.ids.size() * sizeof(uint32_t)));
-      if (!in.good()) return Status::IoError("truncated posting list");
-      left -= pl.ids.size() * sizeof(uint32_t);
-      // TopK indexes its per-shard accumulator by id / num_shards: every
-      // posting must be a record of this shard that the header counts.
-      const auto ns = static_cast<uint32_t>(options.num_shards);
-      for (uint32_t id : pl.ids) {
-        if (id >= next_id || id % ns != s) {
-          return Status::InvalidArgument("posting id outside its shard");
+  // Per shard, each saved feature's row: the base's postings and the
+  // delta's, or none for a stop feature.
+  const auto ns = static_cast<size_t>(options_.num_shards);
+  std::vector<std::vector<uint32_t>> offsets(ns), ids(ns), stops(ns);
+  for (size_t s = 0; s < ns; ++s) {
+    const auto& delta = shards_[s].delta;
+    offsets[s].push_back(0);
+    for (uint32_t f = 0; f < n; ++f) {
+      const auto it = delta.find(order[f]);
+      const DeltaList* list = it == delta.end() ? nullptr : &it->second;
+      if (list != nullptr ? list->stopped : base_.Stopped(s, order[f])) {
+        stops[s].push_back(f);
+      } else {
+        const std::span<const uint32_t> base = base_.Postings(s, order[f]);
+        ids[s].insert(ids[s].end(), base.begin(), base.end());
+        if (list != nullptr) {
+          ids[s].insert(ids[s].end(), list->ids.begin(), list->ids.end());
         }
       }
-      shard.features.emplace(std::move(key), std::move(pl));
+      offsets[s].push_back(static_cast<uint32_t>(ids[s].size()));
     }
+    too_large |= ids[s].size() > kMaxU32;
   }
+  if (too_large) {
+    return Status::InvalidArgument(
+        "index too large to save: a count exceeds 32 bits");
+  }
+
+  io::EmxmWriter writer;
+  auto add = [&](std::string name, const std::vector<uint32_t>& v) {
+    writer.AddSection(std::move(name), io::SectionKind::kU32Vec,
+                      {v.size(), 0, 0, 0, 0, 0}, v.data(),
+                      v.size() * sizeof(uint32_t));
+  };
+  writer.AddSection(kMetaSection, io::SectionKind::kIndexMeta,
+                    {static_cast<uint64_t>(options_.qgram),
+                     options_.index_tokens ? 1u : 0u,
+                     static_cast<uint64_t>(options_.max_postings), ns,
+                     static_cast<uint64_t>(size()), n},
+                    nullptr, 0);
+  writer.AddSection(kKeysSection, io::SectionKind::kBytes,
+                    {key_bytes.size(), 0, 0, 0, 0, 0}, key_bytes.data(),
+                    key_bytes.size());
+  add(kKeyOffsetsSection, key_offsets);
+  add(kDfSection, saved_df);
+  for (size_t s = 0; s < ns; ++s) {
+    add(ShardSection(static_cast<int64_t>(s), "offsets"), offsets[s]);
+    add(ShardSection(static_cast<int64_t>(s), "ids"), ids[s]);
+    add(ShardSection(static_cast<int64_t>(s), "stops"), stops[s]);
+  }
+  EMX_RETURN_IF_ERROR(add_sections(&writer));
+  return writer.WriteFile(path);
+}
+
+Result<QGramIndex> QGramIndex::FromFile(
+    std::shared_ptr<const io::EmxmReader> file) {
+  const io::Section* meta = file->Find(kMetaSection);
+  if (meta == nullptr || meta->kind != io::SectionKind::kIndexMeta) {
+    return Corrupt(*file, "no index header");
+  }
+  // Posting ids are u32 and TopK sizes its accumulators by next_id.
+  const auto& m = meta->aux;
+  constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  if (m[0] > (1u << 16) || m[1] > 1 || m[2] < 1 || m[2] > (1ull << 62) ||
+      m[3] < 1 || m[3] > (1u << 16) || m[4] > kMaxU32 || m[5] >= kMaxU32) {
+    return Corrupt(*file, "corrupt index header");
+  }
+  IndexOptions options;
+  options.qgram = static_cast<int64_t>(m[0]);
+  options.index_tokens = m[1] != 0;
+  options.max_postings = static_cast<int64_t>(m[2]);
+  options.num_shards = static_cast<int64_t>(m[3]);
+  const uint64_t next_id = m[4], num_features = m[5];
+  QGramIndex index(options);
+  Base& base = index.base_;
+  auto u32s = [&](const std::string& name,
+                  uint64_t count = io::EmxmReader::kAnyCount) {
+    return file->View<uint32_t>(name, io::SectionKind::kU32Vec, count);
+  };
+
+  EMX_ASSIGN_OR_RETURN(base.keys,
+                       file->View<char>(kKeysSection, io::SectionKind::kBytes));
+  EMX_ASSIGN_OR_RETURN(base.key_offsets,
+                       u32s(kKeyOffsetsSection, num_features + 1));
+  EMX_ASSIGN_OR_RETURN(base.df, u32s(kDfSection, num_features));
+  if (!io::ValidOffsets(base.key_offsets, base.keys.size())) {
+    return Corrupt(*file, "feature key offsets out of range");
+  }
+  bool bad = false;
+  for (uint32_t df : base.df) bad |= df == 0 || df > next_id;
+  if (bad) return Corrupt(*file, "document frequency out of range");
+
+  const auto ns = static_cast<uint32_t>(options.num_shards);
+  base.shards.resize(ns);
+  for (uint32_t s = 0; s < ns; ++s) {
+    Base::ShardCsr& csr = base.shards[s];
+    Shard& shard = index.shards_[s];
+    EMX_ASSIGN_OR_RETURN(csr.ids, u32s(ShardSection(s, "ids")));
+    EMX_ASSIGN_OR_RETURN(csr.offsets,
+                         u32s(ShardSection(s, "offsets"), num_features + 1));
+    EMX_ASSIGN_OR_RETURN(csr.stops, u32s(ShardSection(s, "stops")));
+    // TopK indexes its per-shard accumulator by id / num_shards: every
+    // posting must be a record of this shard that the header counts. A
+    // stop feature has no postings.
+    bad = !io::ValidOffsets(csr.offsets, csr.ids.size(), &shard.live) ||
+          !PostingsInShard(csr.ids, next_id, ns, s);
+    for (size_t i = 0; i < csr.stops.size() && !bad; ++i) {
+      const uint32_t f = csr.stops[i];
+      bad = f >= num_features || (i > 0 && f <= csr.stops[i - 1]) ||
+            csr.offsets[f] != csr.offsets[f + 1];
+    }
+    if (bad) {
+      return Corrupt(*file, "corrupt postings in shard " + std::to_string(s));
+    }
+    shard.stops = static_cast<int64_t>(csr.stops.size());
+  }
+  base.file = std::move(file);
+  index.next_id_.store(static_cast<int64_t>(next_id),
+                       std::memory_order_relaxed);
   return index;
 }
 
 Result<QGramIndex> QGramIndex::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  return LoadFrom(in);
-}
-
-uint64_t BytesLeft(std::istream& in) {
-  const std::streampos here = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::streampos end = in.tellg();
-  in.seekg(here);
-  return here < 0 || end < here ? 0 : static_cast<uint64_t>(end - here);
+  EMX_ASSIGN_OR_RETURN(std::shared_ptr<const io::EmxmReader> file,
+                       io::EmxmReader::Open(path));
+  return FromFile(std::move(file));
 }
 
 }  // namespace retrieval

@@ -1,16 +1,19 @@
 #ifndef EMX_RETRIEVAL_QGRAM_INDEX_H_
 #define EMX_RETRIEVAL_QGRAM_INDEX_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "io/emxm.h"
 #include "util/status.h"
 
 namespace emx {
@@ -115,44 +118,97 @@ class QGramIndex {
   /// callers that want to inspect what the index keys on.
   std::vector<std::string> Features(std::string_view text) const;
 
-  /// Binary little-endian persistence. Save writes shards with features in
-  /// sorted order (canonical bytes for identical index states); Load
-  /// restores an index whose TopK results are bit-identical to the saved
-  /// one's. Save requires ingest quiescence (it takes all reader locks).
-  /// Load checks every count in the file against the bytes left in the
-  /// stream before it sizes anything by it, so a corrupt or hostile header
-  /// is an InvalidArgument, never an allocation failure.
+  /// Persistence as an EMXM1 container (see "Persistence" below). Save
+  /// merges the mapped base and everything added since into one canonical
+  /// container — identical index states write identical bytes — and
+  /// requires ingest quiescence (it takes all reader locks). Load maps the
+  /// file and serves every array from the mapping; it checks every size,
+  /// offset and posting id before it returns, so a corrupt or hostile file
+  /// is an InvalidArgument (IoError when unreadable), never a fault or an
+  /// out-of-bounds read at query time. TopK of the loaded index is
+  /// bit-identical to the saved one's.
   Status Save(const std::string& path) const;
-  Status SaveTo(std::ostream& out) const;
   static Result<QGramIndex> Load(const std::string& path);
-  static Result<QGramIndex> LoadFrom(std::istream& in);
 
  private:
-  struct PostingList {
-    /// Records containing the feature — keeps counting after the stop cap.
-    int64_t df = 0;
+  friend class CatalogMatcher;
+
+  // Persistence. The container holds one global feature dictionary (keys
+  // in byte order, a blob + u32 offsets; a feature's id is its key's
+  // rank, found by binary search), the global df of each feature, and per
+  // shard a CSR posting matrix over feature ids (u32 offsets + u32 ids)
+  // plus the sorted ids of the shard's stop features, whose posting rows
+  // are empty.
+  //
+  // The loaded container is the immutable *base*. AddRecord/AddBatch
+  // write a *delta*: features the dictionary lacks get ids after the
+  // base's, and each shard keeps, per feature id it touched, the records
+  // added since, the df they add and a stop flag that starts from the
+  // base's. A fresh index is an empty base with everything in the delta.
+
+  /// The mapped base segment. Every span points into `file`.
+  struct Base {
+    struct ShardCsr {
+      std::span<const uint32_t> offsets;  // num_features + 1
+      std::span<const uint32_t> ids;
+      std::span<const uint32_t> stops;  // ascending feature ids
+    };
+    std::shared_ptr<const io::EmxmReader> file;
+    std::span<const char> keys;
+    std::span<const uint32_t> key_offsets;  // num_features + 1
+    std::span<const uint32_t> df;           // num_features
+    std::vector<ShardCsr> shards;
+
+    uint32_t num_features() const { return static_cast<uint32_t>(df.size()); }
+    std::string_view Key(uint32_t f) const;
+    /// The feature id of `key`, or -1.
+    int64_t Find(std::string_view key) const;
+    std::span<const uint32_t> Postings(int64_t shard, int64_t f) const;
+    bool Stopped(int64_t shard, uint32_t f) const;
+  };
+  /// One shard's view of one feature since the base.
+  struct DeltaList {
+    int64_t df = 0;  // records added since the base
     bool stopped = false;
     std::vector<uint32_t> ids;
   };
   struct Shard {
     mutable std::shared_mutex mu;
-    std::unordered_map<std::string, PostingList> features;
-    int64_t stop_count = 0;  // features demoted to stop features
+    std::unordered_map<uint32_t, DeltaList> delta;
+    int64_t live = 0;   // features with postings
+    int64_t stops = 0;  // stop features
   };
-
+  /// Ids of the features the base dictionary lacks, striped by key hash
+  /// so parallel ingest tasks rarely wait on one another.
+  struct Extra {
+    struct Stripe {
+      mutable std::shared_mutex mu;
+      std::unordered_map<std::string, uint32_t> ids;
+    };
+    std::array<Stripe, 16> stripes;
+    std::atomic<uint32_t> count{0};
+    Stripe& Of(std::string_view key);
+  };
   int64_t per_shard_cap() const;
+  /// Feature ids of `text`, adding the features no id names yet.
+  std::vector<uint32_t> Intern(std::string_view text);
   /// Inserts `id`'s features into its shard. Caller must not hold locks.
-  void Insert(int64_t id, const std::vector<std::string>& features);
+  void Insert(int64_t id, const std::vector<uint32_t>& features);
+  /// Save with `add_sections` run after the index's sections (the catalog
+  /// adds its texts); payloads it adds must outlive the call.
+  Status Save(const std::string& path,
+              const std::function<Status(io::EmxmWriter*)>& add_sections)
+      const;
+  /// Serves the "ridx:" sections of `file` after checking all of them.
+  static Result<QGramIndex> FromFile(
+      std::shared_ptr<const io::EmxmReader> file);
 
   IndexOptions options_;
+  Base base_;
   std::unique_ptr<Shard[]> shards_;
+  std::unique_ptr<Extra> extra_;
   std::atomic<int64_t> next_id_{0};
 };
-
-/// Bytes between the read position of a seekable stream and its end (0
-/// when it cannot seek): the bound the index and catalog loaders check
-/// each header count against before allocating.
-uint64_t BytesLeft(std::istream& in);
 
 }  // namespace retrieval
 }  // namespace emx

@@ -6,9 +6,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -17,9 +16,10 @@
 
 #include "core/entity_matcher.h"
 #include "data/blocking.h"
-#include "file_fuzz.h"
 #include "data/generators.h"
 #include "data/record.h"
+#include "file_fuzz.h"
+#include "io/emxm.h"
 #include "pretrain/model_zoo.h"
 #include "retrieval/catalog_matcher.h"
 #include "retrieval/qgram_index.h"
@@ -127,8 +127,87 @@ TEST(QGramIndexTest, StopFeatureCapFreesPostingsAndStopsScoring) {
 
 // ---- Persistence -----------------------------------------------------------
 
+void ExpectSameTopK(const std::vector<ScoredId>& got,
+                    const std::vector<ScoredId>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << what << " rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << what << " rank " << i;
+  }
+}
+
+/// Checks that the atomic Save at `path` left no staging file, then cuts
+/// and patches the container the ways a hostile file could and expects
+/// `load` to fail each with InvalidArgument or IoError: every truncation
+/// (strided, plus the header and first table entry's edges), every u32
+/// word of every u32/u64 array set to 0xFFFFFFFF (an offset that decreases
+/// or runs past its array, an id past next_id, a df or stop feature past
+/// its range), every section's payload cut short of its count
+/// and every count raised past its payload, a posting id moved to the
+/// wrong shard, and index headers no arrays fit.
+void ExpectHostilePatchesFail(
+    const std::string& path,
+    const std::function<Status(const std::string&)>& load) {
+  using emx::testing::WithPatchedField;
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  auto reader = io::EmxmReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(load(path).ok());
+  const size_t bytes = reader.value()->file_bytes();
+  emx::testing::ExpectAllTruncationsFail(
+      path, load, /*stride=*/std::max<size_t>(1, bytes / 97),
+      /*boundaries=*/{8, 16, 24, 32, 56, 64, 96, 160});
+  auto rejects = [&](std::string what) {
+    return [&load, what](const std::string& patched) {
+      const Status s = load(patched);
+      EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument ||
+                  s.code() == StatusCode::kIoError)
+          << what << ": " << s.ToString();
+    };
+  };
+  const auto& sections = reader.value()->sections();
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const io::Section& sec = sections[i];
+    const size_t entry =
+        sizeof(io::EmxmHeader) + i * sizeof(io::EmxmSectionEntry);
+    const size_t payload =
+        sec.data == nullptr ? 0 : sec.data - reader.value()->mapping().data();
+    if (sec.kind == io::SectionKind::kU32Vec ||
+        sec.kind == io::SectionKind::kU64Vec) {
+      for (size_t at = 0; at < sec.bytes; at += 4) {
+        WithPatchedField<uint32_t>(path, payload + at, 0xFFFFFFFFu,
+                                   rejects(sec.name + " word " +
+                                           std::to_string(at / 4)));
+      }
+    }
+    if (sec.name == "ridx:shard0:ids" && sec.bytes > 0) {
+      uint32_t id = 0;
+      std::memcpy(&id, sec.data, sizeof(id));
+      WithPatchedField<uint32_t>(path, payload, id + 1, rejects("id shard"));
+    }
+    if (sec.kind == io::SectionKind::kIndexMeta) {
+      WithPatchedField<uint64_t>(path, entry + 40 + 3 * 8, 0,
+                                 rejects("0 shards"));
+      WithPatchedField<uint64_t>(path, entry + 40 + 3 * 8, sec.aux[3] + 1,
+                                 rejects("shards without sections"));
+      WithPatchedField<uint64_t>(path, entry + 40 + 4 * 8, 1ull << 33,
+                                 rejects("next_id past u32 ids"));
+      WithPatchedField<uint64_t>(path, entry + 40 + 5 * 8, sec.aux[5] + 1,
+                                 rejects("num_features"));
+      continue;
+    }
+    if (sec.bytes >= 4) {
+      WithPatchedField<uint64_t>(path, entry + 32, sec.bytes - 4,
+                                 rejects(sec.name + " payload cut"));
+    }
+    WithPatchedField<uint64_t>(path, entry + 40, sec.aux[0] + 1,
+                               rejects(sec.name + " count raised"));
+  }
+}
+
 TEST(QGramIndexTest, SaveLoadRoundTripIsBitIdentical) {
-  const std::string path = "/tmp/emx_retrieval_test_index.bin";
+  const std::string path = "/tmp/emx_retrieval_test_index.emxm";
+  const std::string again = "/tmp/emx_retrieval_test_index_again.emxm";
   IndexOptions opts;
   opts.num_shards = 4;
   QGramIndex index(opts);
@@ -147,120 +226,117 @@ TEST(QGramIndexTest, SaveLoadRoundTripIsBitIdentical) {
 
   // Candidate sets must match bit-for-bit: same ids, same scores.
   for (const std::string& q : cat.queries) {
-    auto a = index.TopK(q, 50);
-    auto b = loaded.value().TopK(q, 50);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].score, b[i].score);  // exact, not approximate
-    }
+    ExpectSameTopK(loaded.value().TopK(q, 50), index.TopK(q, 50), q);
   }
 
   // Canonical serialization: saving the loaded index reproduces the bytes.
-  std::ostringstream first, second;
-  ASSERT_TRUE(index.SaveTo(first).ok());
-  ASSERT_TRUE(loaded.value().SaveTo(second).ok());
-  EXPECT_EQ(first.str(), second.str());
+  ASSERT_TRUE(loaded.value().Save(again).ok());
+  EXPECT_EQ(emx::testing::ReadFileBytes(path),
+            emx::testing::ReadFileBytes(again));
   std::filesystem::remove(path);
+  std::filesystem::remove(again);
 }
 
-TEST(QGramIndexTest, LoadRejectsGarbageAndTruncation) {
-  std::istringstream garbage("not an index file at all");
-  EXPECT_EQ(QGramIndex::LoadFrom(garbage).status().code(),
-            StatusCode::kInvalidArgument);
-
-  QGramIndex index;
-  index.AddRecord("acer laptop");
-  std::ostringstream full;
-  ASSERT_TRUE(index.SaveTo(full).ok());
-  const std::string bytes = full.str();
-  std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(QGramIndex::LoadFrom(truncated).ok());
-
-  // Well-formed framing whose one posting names a record outside its shard
-  // (or beyond the record count): TopK indexes its accumulator by posting
-  // id, so Load must refuse it.
-  auto one_posting = [](uint32_t id) {
-    std::ostringstream out;
-    auto i64 = [&](int64_t v) {
-      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    out.write("EMXRIDX1", 8);
-    for (int64_t v : {int64_t{3}, int64_t{1}, int64_t{1} << 14,
-                      int64_t{2} /* shards */, int64_t{4} /* records */}) {
-      i64(v);
-    }
-    i64(1);  // shard 0: one feature
-    i64(2);
-    out.write("ab", 2);
-    for (int64_t v : {int64_t{1} /* df */, int64_t{0}, int64_t{1}}) i64(v);
-    out.write(reinterpret_cast<const char*>(&id), sizeof(id));
-    i64(0);  // shard 1: no features
-    return out.str();
-  };
-  std::istringstream valid(one_posting(2));
-  EXPECT_TRUE(QGramIndex::LoadFrom(valid).ok());
-  for (uint32_t bad : {1u, 4u, 0xFFFFFFFEu}) {
-    std::istringstream corrupt(one_posting(bad));
-    EXPECT_EQ(QGramIndex::LoadFrom(corrupt).status().code(),
-              StatusCode::kInvalidArgument)
-        << "posting id " << bad;
+TEST(QGramIndexTest, DeltaSegmentMatchesAnInMemoryIndex) {
+  const std::string path = "/tmp/emx_retrieval_test_delta.emxm";
+  const std::string memory_path = "/tmp/emx_retrieval_test_delta_memory.emxm";
+  data::CatalogSpec spec;
+  spec.num_records = 300;
+  spec.num_queries = 15;
+  data::Catalog cat = data::GenerateCatalog(spec);
+  // 240 base records, 60 added after the load. "qqqqq" (and its grams)
+  // sits in three shard-0 records of the base — under the per-shard cap
+  // of 4 it is live — and in two added shard-0 records, which stop it
+  // there; the added records also carry tokens the base dictionary lacks.
+  std::vector<std::string> records = cat.records;
+  for (size_t id : {0, 2, 4, 240, 242}) records[id] += " qqqqq";
+  for (size_t id = 240; id < records.size(); ++id) {
+    records[id] += " novelty" + std::to_string(id % 7);
   }
-}
+  const std::vector<std::string> base(records.begin(), records.begin() + 240);
+  const std::vector<std::string> added(records.begin() + 240, records.end());
 
-TEST(QGramIndexTest, SaveIsAtomicAndEveryTruncationFails) {
-  const std::string path = "/tmp/emx_retrieval_test_atomic.bin";
-  QGramIndex index;
-  index.AddRecord("acer aspire 5");
-  index.AddRecord("asus zenbook 14");
-  index.AddRecord("dell xps 13");
-  ASSERT_TRUE(index.Save(path).ok());
-  // The atomic writer must leave no staging sibling behind.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  IndexOptions opts;
+  opts.num_shards = 2;
+  opts.max_postings = 8;
+  QGramIndex base_index(opts);
+  base_index.AddBatch(base);
+  ASSERT_TRUE(base_index.Save(path).ok());
+  auto loaded = QGramIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  QGramIndex& merged = loaded.value();
+  const auto rare = merged.TopK("qqqqq", 100);
+  ASSERT_EQ(rare.size(), 3u);
+  EXPECT_EQ(rare[2].id, 4);
+  const int64_t base_stops = merged.num_stop_features();
+  merged.AddBatch(added);
 
-  const size_t bytes = emx::testing::ReadFileBytes(path).size();
-  emx::testing::ExpectAllTruncationsFail(
-      path,
-      [](const std::string& p) { return QGramIndex::Load(p).status(); },
-      /*stride=*/std::max<size_t>(1, bytes / 97),
-      /*boundaries=*/{4, 8, 12, 16, 24, 32});
-  std::filesystem::remove(path);
-}
+  QGramIndex memory(opts);
+  memory.AddBatch(records);
+  IndexOptions unpruned_opts = opts;
+  unpruned_opts.prune_topk = false;
+  QGramIndex unpruned(unpruned_opts);
+  unpruned.AddBatch(records);
 
-TEST(QGramIndexTest, HostileCountsAreRejectedBeforeAllocating) {
-  const std::string path = "/tmp/emx_retrieval_test_counts.bin";
-  QGramIndex index;
-  index.AddRecord("acer aspire 5");
-  index.AddRecord("asus zenbook 14");
-  index.AddRecord("dell xps 13");
-  ASSERT_TRUE(index.Save(path).ok());
-  // Layout: magic, then i64 qgram, index_tokens, max_postings, num_shards,
-  // next_id; shard 0's feature count; its first feature's key length, key
-  // bytes, df, stopped flag and id count.
-  const size_t next_id_off = 40, features_off = 48, key_len_off = 56;
-  int64_t key_len = 0;
-  const std::vector<uint8_t> bytes = emx::testing::ReadFileBytes(path);
-  ASSERT_GT(bytes.size(), key_len_off + 8);
-  std::memcpy(&key_len, bytes.data() + key_len_off, sizeof(key_len));
-  int64_t features = 0;
-  std::memcpy(&features, bytes.data() + features_off, sizeof(features));
-  ASSERT_GT(features, 0) << "shard 0 must hold a feature";
-  const size_t num_ids_off =
-      key_len_off + 8 + static_cast<size_t>(key_len) + 16;
-  auto fails = [](const std::string& patched) {
-    EXPECT_EQ(QGramIndex::Load(patched).status().code(),
-              StatusCode::kInvalidArgument);
+  EXPECT_EQ(merged.size(), memory.size());
+  EXPECT_EQ(merged.num_features(), memory.num_features());
+  EXPECT_EQ(merged.num_stop_features(), memory.num_stop_features());
+  // Shard 0 stopped "qqqqq"; shard 1 never held it.
+  EXPECT_GT(merged.num_stop_features(), base_stops);
+  EXPECT_TRUE(merged.TopK("qqqqq", 100).empty());
+  EXPECT_FALSE(merged.TopK("novelty3", 100).empty());
+
+  std::vector<std::string> queries = cat.queries;
+  queries.insert(queries.end(), {"qqqqq", "novelty3 qqqqq", added[7]});
+  const int64_t n = static_cast<int64_t>(records.size());
+  auto expect_matches_memory = [&](const QGramIndex& index,
+                                   const std::string& what) {
+    for (const std::string& q : queries) {
+      for (int64_t k : {int64_t{1}, int64_t{5}, int64_t{64}, n + 10}) {
+        const auto got = index.TopK(q, k);
+        ExpectSameTopK(got, memory.TopK(q, k), what + " pruned q=" + q);
+        ExpectSameTopK(got, unpruned.TopK(q, k), what + " unpruned q=" + q);
+      }
+    }
   };
-  const int64_t huge = int64_t{1} << 50;
-  emx::testing::WithPatchedField<int64_t>(path, features_off, huge, fails);
-  emx::testing::WithPatchedField<int64_t>(path, next_id_off, huge, fails);
-  emx::testing::WithPatchedField<int64_t>(path, key_len_off, huge, fails);
-  // An id count the record count allows but the file cannot hold.
-  emx::testing::WithPatchedField<int64_t>(
-      path, next_id_off, int64_t{1} << 32, [&](const std::string& patched) {
-        emx::testing::WithPatchedField<int64_t>(patched, num_ids_off,
-                                                int64_t{1} << 31, fails);
-      });
+  expect_matches_memory(merged, "loaded + delta");
+
+  // One canonical file for one index state, however it was built.
+  ASSERT_TRUE(memory.Save(memory_path).ok());
+  const std::vector<uint8_t> memory_bytes =
+      emx::testing::ReadFileBytes(memory_path);
+  // Saving onto the file the index is mapped from: the rename leaves the
+  // mapped version intact, and a fresh Load serves the merged state.
+  ASSERT_TRUE(merged.Save(path).ok());
+  EXPECT_EQ(emx::testing::ReadFileBytes(path), memory_bytes);
+  expect_matches_memory(merged, "after saving over its own file");
+  auto reloaded = QGramIndex::Load(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  expect_matches_memory(reloaded.value(), "reloaded");
+  EXPECT_EQ(reloaded.value().num_stop_features(), memory.num_stop_features());
+  std::filesystem::remove(path);
+  std::filesystem::remove(memory_path);
+}
+
+TEST(QGramIndexTest, HostileContainersAreRejected) {
+  const std::string path = "/tmp/emx_retrieval_test_hostile.emxm";
+  auto load = [](const std::string& p) { return QGramIndex::Load(p).status(); };
+  emx::testing::WriteFileBytes(path, {'n', 'o', 't', ' ', 'e', 'm', 'x', 'm'});
+  EXPECT_EQ(load(path).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(io::EmxmWriter().WriteFile(path).ok());
+  EXPECT_EQ(load(path).code(), StatusCode::kInvalidArgument);
+
+  IndexOptions opts;
+  opts.num_shards = 2;
+  opts.max_postings = 4;  // per-shard cap 2: "acer" stops in shard 0
+  QGramIndex index(opts);
+  for (const char* text : {"acer aspire 5", "asus zenbook 14", "acer swift 3",
+                           "dell xps 13", "acer nitro 7", "hp envy 15"}) {
+    index.AddRecord(text);
+  }
+  ASSERT_GT(index.num_stop_features(), 0);
+  ASSERT_TRUE(index.Save(path).ok());
+  ExpectHostilePatchesFail(path, load);
   std::filesystem::remove(path);
 }
 
@@ -311,10 +387,13 @@ TEST(QGramIndexTest, StreamingIngestWhileQueryingIsDeterministic) {
       EXPECT_EQ(a[i].score, b[i].score);
     }
   }
-  std::ostringstream sa, sb;
-  ASSERT_TRUE(reference.SaveTo(sa).ok());
-  ASSERT_TRUE(contended.SaveTo(sb).ok());
-  EXPECT_EQ(sa.str(), sb.str());
+  const std::string ra = "/tmp/emx_retrieval_test_stream_a.emxm";
+  const std::string rb = "/tmp/emx_retrieval_test_stream_b.emxm";
+  ASSERT_TRUE(reference.Save(ra).ok());
+  ASSERT_TRUE(contended.Save(rb).ok());
+  EXPECT_EQ(emx::testing::ReadFileBytes(ra), emx::testing::ReadFileBytes(rb));
+  std::filesystem::remove(ra);
+  std::filesystem::remove(rb);
 }
 
 // ---- Catalog generator -----------------------------------------------------
@@ -490,15 +569,6 @@ class BruteForceScorer {
   std::unordered_map<std::string, int64_t> df_;
 };
 
-void ExpectSameTopK(const std::vector<ScoredId>& got,
-                    const std::vector<ScoredId>& want, const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << what << " rank " << i;
-    EXPECT_EQ(got[i].score, want[i].score) << what << " rank " << i;
-  }
-}
-
 TEST(QGramIndexTest, TopKIsBitIdenticalToBruteForce) {
   data::CatalogSpec spec;
   spec.num_records = 400;
@@ -668,7 +738,7 @@ TEST_F(CatalogMatcherTest, FindMatchesIsSortedCountsAndTraced) {
 }
 
 TEST_F(CatalogMatcherTest, SaveLoadPreservesResults) {
-  const std::string path = "/tmp/emx_retrieval_test_catalog.bin";
+  const std::string path = "/tmp/emx_retrieval_test_catalog.emxm";
   serve::MatcherEngine engine(Matcher(), EngineOpts());
   CatalogOptions copts;
   copts.retrieve_k = 8;
@@ -676,72 +746,74 @@ TEST_F(CatalogMatcherTest, SaveLoadPreservesResults) {
   copts.top_k = 2;
   CatalogMatcher catalog(&engine, copts);
   data::CatalogSpec spec;
-  spec.num_records = 16;
+  spec.num_records = 24;
   spec.num_queries = 3;
   data::Catalog cat = data::GenerateCatalog(spec);
-  catalog.AddBatch(cat.records);
+  const std::vector<std::string> base(cat.records.begin(),
+                                      cat.records.begin() + 16);
+  const std::vector<std::string> added(cat.records.begin() + 16,
+                                       cat.records.end());
+  catalog.AddBatch(base);
   ASSERT_TRUE(catalog.Save(path).ok());
 
   auto loaded = CatalogMatcher::Load(path, &engine, copts);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->size(), catalog.size());
-  for (const std::string& q : cat.queries) {
-    auto a = catalog.FindMatches(q);
-    auto b = loaded.value()->FindMatches(q);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value().size(), b.value().size());
-    for (size_t i = 0; i < a.value().size(); ++i) {
-      EXPECT_EQ(a.value()[i].id, b.value()[i].id);
-      EXPECT_EQ(a.value()[i].text, b.value()[i].text);
-      EXPECT_EQ(a.value()[i].retrieval_score, b.value()[i].retrieval_score);
-      EXPECT_NEAR(a.value()[i].probability, b.value()[i].probability, 1e-4);
+  CatalogMatcher& mapped = *loaded.value();
+  auto expect_same = [&](CatalogMatcher& a, CatalogMatcher& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (int64_t id = 0; id < a.size(); ++id) EXPECT_EQ(a.Text(id), b.Text(id));
+    for (const std::string& q : cat.queries) {
+      auto ma = a.FindMatches(q);
+      auto mb = b.FindMatches(q);
+      ASSERT_TRUE(ma.ok());
+      ASSERT_TRUE(mb.ok());
+      ASSERT_EQ(ma.value().size(), mb.value().size());
+      for (size_t i = 0; i < ma.value().size(); ++i) {
+        EXPECT_EQ(ma.value()[i].id, mb.value()[i].id);
+        EXPECT_EQ(ma.value()[i].text, mb.value()[i].text);
+        EXPECT_EQ(ma.value()[i].retrieval_score,
+                  mb.value()[i].retrieval_score);
+        EXPECT_NEAR(ma.value()[i].probability, mb.value()[i].probability,
+                    1e-4);
+      }
     }
-  }
+  };
+  expect_same(catalog, mapped);
+
+  // Records added to the mapped catalog, then saved over the file it maps:
+  // it keeps answering from the old mapping plus its delta, and a fresh
+  // Load serves the merged state.
+  catalog.AddBatch(added);
+  mapped.AddBatch(added);
+  EXPECT_EQ(mapped.Text(20), added[4]);
+  ASSERT_TRUE(mapped.Save(path).ok());
+  expect_same(catalog, mapped);
+  auto reloaded = CatalogMatcher::Load(path, &engine, copts);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  expect_same(catalog, *reloaded.value());
   std::filesystem::remove(path);
 }
 
-TEST_F(CatalogMatcherTest, SaveIsAtomicAndEveryTruncationFails) {
-  const std::string path = "/tmp/emx_retrieval_test_catalog_atomic.bin";
+TEST_F(CatalogMatcherTest, HostileContainersAreRejected) {
+  const std::string path = "/tmp/emx_retrieval_test_catalog_hostile.emxm";
   serve::MatcherEngine engine(Matcher(), EngineOpts());
   CatalogOptions copts;
-  copts.retrieve_k = 4;
-  copts.rerank_k = 2;
-  CatalogMatcher catalog(&engine, copts);
-  data::CatalogSpec spec;
-  spec.num_records = 12;
-  spec.num_queries = 1;
-  data::Catalog cat = data::GenerateCatalog(spec);
-  catalog.AddBatch(cat.records);
-  ASSERT_TRUE(catalog.Save(path).ok());
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  copts.index.num_shards = 2;
+  auto load = [&](const std::string& p) {
+    return CatalogMatcher::Load(p, &engine, copts).status();
+  };
+  // An index file is not a catalog.
+  QGramIndex index(copts.index);
+  index.AddRecord("acer aspire 5");
+  ASSERT_TRUE(index.Save(path).ok());
+  EXPECT_EQ(load(path).code(), StatusCode::kInvalidArgument);
 
-  const size_t bytes = emx::testing::ReadFileBytes(path).size();
-  emx::testing::ExpectAllTruncationsFail(
-      path,
-      [&](const std::string& p) {
-        return CatalogMatcher::Load(p, &engine, copts).status();
-      },
-      /*stride=*/std::max<size_t>(1, bytes / 97),
-      /*boundaries=*/{4, 8, 12, 16, 24, 32});
-  std::filesystem::remove(path);
-}
-
-TEST_F(CatalogMatcherTest, HostileCountsAreRejectedBeforeAllocating) {
-  const std::string path = "/tmp/emx_retrieval_test_catalog_counts.bin";
-  serve::MatcherEngine engine(Matcher(), EngineOpts());
-  CatalogOptions copts;
   CatalogMatcher catalog(&engine, copts);
   catalog.Add("acer aspire 5");
   catalog.Add("asus zenbook 14");
+  catalog.Add("dell xps 13");
   ASSERT_TRUE(catalog.Save(path).ok());
-  // Layout: magic, i64 text count, then each text's i64 length and bytes.
-  auto fails = [&](const std::string& patched) {
-    EXPECT_EQ(CatalogMatcher::Load(patched, &engine, copts).status().code(),
-              StatusCode::kInvalidArgument);
-  };
-  emx::testing::WithPatchedField<int64_t>(path, 8, int64_t{1} << 50, fails);
-  emx::testing::WithPatchedField<int64_t>(path, 16, int64_t{1} << 40, fails);
+  ExpectHostilePatchesFail(path, load);
   std::filesystem::remove(path);
 }
 
