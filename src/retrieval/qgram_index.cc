@@ -35,17 +35,26 @@ Status Corrupt(const io::EmxmReader& file, const std::string& what) {
                                  what);
 }
 
-/// Every id is a record below `next_id` of shard `shard` of `shards`.
+/// Every id is a record below `next_id` of shard `shard` of `shards`;
+/// `*end_id` gets one past the highest.
 bool PostingsInShard(std::span<const uint32_t> ids, uint64_t next_id,
-                     uint32_t shards, uint32_t shard) {
+                     uint32_t shards, uint32_t shard, uint64_t* end_id) {
   bool bad = false;
+  uint32_t high = 0;
   if (std::has_single_bit(shards)) {
     const uint32_t mask = shards - 1;
-    for (uint32_t id : ids) bad |= (id >= next_id) | ((id & mask) != shard);
+    for (uint32_t id : ids) {
+      bad |= (id & mask) != shard;
+      high = std::max(high, id);
+    }
   } else {
-    for (uint32_t id : ids) bad |= (id >= next_id) | (id % shards != shard);
+    for (uint32_t id : ids) {
+      bad |= id % shards != shard;
+      high = std::max(high, id);
+    }
   }
-  return !bad;
+  *end_id = ids.empty() ? 0 : uint64_t{high} + 1;
+  return !bad && *end_id <= next_id;
 }
 
 /// Idf weight of a feature seen in `df` of `n` records. The +1 smoothing
@@ -212,6 +221,7 @@ void QGramIndex::Insert(int64_t id, const std::vector<uint32_t>& features) {
   Shard& shard = shards_[static_cast<size_t>(s)];
   const int64_t cap = per_shard_cap();
   std::unique_lock<std::shared_mutex> lock(shard.mu);
+  shard.end_id = std::max(shard.end_id, static_cast<uint64_t>(id) + 1);
   for (uint32_t f : features) {
     auto [it, fresh] = shard.delta.try_emplace(f);
     DeltaList& list = it->second;
@@ -398,8 +408,10 @@ std::vector<ScoredId> QGramIndex::TopK(std::string_view query,
         };
         {
           std::shared_lock<std::shared_mutex> lock(shard.mu);
-          // Sized under the lock: postings may hold ids newer than `n`.
-          const size_t slots = static_cast<size_t>(size() / ns + 1);
+          // Sized under the lock by the highest id the shard holds:
+          // postings may hold ids newer than `n`, and a loaded record
+          // count bounds nothing (records may have no features).
+          const size_t slots = static_cast<size_t>(shard.end_id / ns + 1);
           if (acc.size() < slots) acc.resize(slots, 0.0);
           for (size_t i = 0; i < features.size(); ++i) {
             const double bound = suffix[i] * (1.0 + 1e-9);
@@ -615,7 +627,7 @@ Result<QGramIndex> QGramIndex::FromFile(
     // posting must be a record of this shard that the header counts. A
     // stop feature has no postings.
     bad = !io::ValidOffsets(csr.offsets, csr.ids.size(), &shard.live) ||
-          !PostingsInShard(csr.ids, next_id, ns, s);
+          !PostingsInShard(csr.ids, next_id, ns, s, &shard.end_id);
     for (size_t i = 0; i < csr.stops.size() && !bad; ++i) {
       const uint32_t f = csr.stops[i];
       bad = f >= num_features || (i > 0 && f <= csr.stops[i - 1]) ||

@@ -177,6 +177,7 @@ class QGramIndex {
     std::unordered_map<uint32_t, DeltaList> delta;
     int64_t live = 0;   // features with postings
     int64_t stops = 0;  // stop features
+    uint64_t end_id = 0;  // one past the highest record id in the shard
   };
   /// Ids of the features the base dictionary lacks, striped by key hash
   /// so parallel ingest tasks rarely wait on one another.

@@ -337,6 +337,22 @@ TEST(QGramIndexTest, HostileContainersAreRejected) {
   ASSERT_GT(index.num_stop_features(), 0);
   ASSERT_TRUE(index.Save(path).ok());
   ExpectHostilePatchesFail(path, load);
+
+  // A record count far past the postings is valid (records may have no
+  // features), but must not size TopK's scratch: 2^32 - 1 records over 2
+  // shards would be 16 GB of accumulators.
+  auto reader = io::EmxmReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  size_t meta = 0;
+  while (reader.value()->sections()[meta].name != "ridx:meta") ++meta;
+  emx::testing::WithPatchedField<uint64_t>(
+      path,
+      sizeof(io::EmxmHeader) + meta * sizeof(io::EmxmSectionEntry) + 40 + 4 * 8,
+      0xFFFFFFFFull, [](const std::string& patched) {
+        auto loaded = QGramIndex::Load(patched);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_EQ(loaded.value().TopK("dell xps 13", 1).at(0).id, 3);
+      });
   std::filesystem::remove(path);
 }
 
