@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the compute kernels underlying
-// the reproduction: matmul, GELU and the fp32 FFN block, softmax,
+// the reproduction: matmul, GELU and the fp32 FFN block, dropout, softmax,
 // LayerNorm, a full encoder-layer forward/backward, the three subword
 // tokenizers, and the autograd tape overhead. These are the knobs that
 // determine the Table 6 timings. GEMM-bound cases report achieved FLOP/s.
@@ -143,6 +143,21 @@ void BM_FeedForwardBlockTrain(benchmark::State& state) {
   SetFlopRate(state, 3.0 * 2.0 * 2.0 * kFfnRows * kFfnHidden * kFfnInner);
 }
 BENCHMARK(BM_FeedForwardBlockTrain);
+
+/// Training dropout (p = 0.1) on the FFN intermediate of a 16-pair batch,
+/// [720 x 256]: the forward and its backward through the tape (SumAll
+/// supplies the upstream gradient).
+void BM_Dropout(benchmark::State& state) {
+  Rng rng(11);
+  Tensor xt = Tensor::Randn({720, kFfnInner}, &rng);
+  for (auto _ : state) {
+    Variable x = Variable::Parameter(xt);
+    Backward(ag::SumAll(ag::Dropout(x, 0.1f, /*train=*/true, &rng)));
+    benchmark::DoNotOptimize(x.grad()[0]);
+  }
+  state.SetItemsProcessed(state.iterations() * xt.size());
+}
+BENCHMARK(BM_Dropout);
 
 void BM_BatchedAttentionMatMul(benchmark::State& state) {
   // The QK^T shape of a fine-tuning batch: [16, 2, 56, 32] x transpose.

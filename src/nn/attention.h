@@ -32,9 +32,10 @@ class MultiHeadAttention : public Module {
   /// projected q/k/v with heads interleaved in the last dimension and folds
   /// head split/merge into its kernel. Its logits are bit-identical to the
   /// unfused MatMul -> MaskedSoftmax -> MatMul chain; with dropout on it
-  /// draws one rng value per call and derives the mask from a counter-based
-  /// hash, so training RNG streams differ from that chain's (semantics are
-  /// identical).
+  /// draws one rng value per call and derives the mask from the dropout
+  /// hash of kernel_math.h, the one ag::Dropout uses, so at the same Rng
+  /// state it drops the same prob elements as that chain with ag::Dropout
+  /// after the softmax.
   Variable Forward(const Variable& query, const Variable& kv,
                    const Tensor& mask, float dropout_p, bool train,
                    Rng* rng) const;

@@ -386,16 +386,15 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
 Variable Dropout(const Variable& x, float p, bool train, Rng* rng) {
   if (!train || p <= 0.0f) return x;
   EMX_CHECK_LT(p, 1.0f);
-  const float scale = 1.0f / (1.0f - p);
-  Tensor mask(x.value().shape());
-  float* pm = mask.data();
-  for (int64_t i = 0; i < mask.size(); ++i) {
-    pm[i] = rng->NextBernoulli(p) ? 0.0f : scale;
-  }
-  Tensor value = ops::Mul(x.value(), mask);
+  // One draw per call, as in FusedAttention: the mask is a function of
+  // (seed, flat index), so the backward recomputes it instead of keeping it.
+  const uint64_t seed = rng->Next();
+  Tensor value = ops::Dropout(x.value(), seed, p);
   return Variable::MakeOpResult(
       std::move(value), {x},
-      [x, mask](const Tensor& g) { AccumulateGrad(x, ops::Mul(g, mask)); },
+      [x, seed, p](const Tensor& g) {
+        AccumulateGrad(x, ops::Dropout(g, seed, p));
+      },
       "dropout");
 }
 

@@ -109,7 +109,8 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
                    const Variable& beta, float eps = 1e-5f);
 
 /// Inverted dropout: scales survivors by 1/(1-p) at train time; identity
-/// when `train` is false or p == 0.
+/// when `train` is false or p == 0. Draws one rng->Next() per call as the
+/// seed of ops::Dropout's hashed mask; no mask tensor is stored.
 Variable Dropout(const Variable& x, float p, bool train, Rng* rng);
 
 // ---- Embedding / selection ---------------------------------------------

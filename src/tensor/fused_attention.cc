@@ -1,7 +1,6 @@
 #include "tensor/fused_attention.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -22,13 +21,6 @@ namespace {
 // accumulator of the score micro-loop.
 constexpr int64_t kRowTile = 32;
 constexpr int64_t kColTile = 64;
-
-inline uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Broadcast view of the additive mask: row (b, h, i) of the logical
 /// [B, heads, Tq, Tk] score tensor reads mask row
@@ -91,27 +83,6 @@ void CheckQkvShapes(const Tensor& q, const Tensor& k, const Tensor& v,
 }
 
 }  // namespace
-
-namespace {
-
-inline uint64_t DropoutHash(uint64_t seed, int64_t idx) {
-  return SplitMix64(seed ^ (static_cast<uint64_t>(idx) * 0xd1342543de82ef95ULL +
-                            0x2545f4914f6cdd1dULL));
-}
-
-/// Drop iff hash < p * 2^64: a pure integer compare, so the kernel loops
-/// stay free of float divisions and int-to-double conversions.
-inline uint64_t DropoutThreshold(float dropout_p) {
-  return static_cast<uint64_t>(static_cast<double>(dropout_p) * 0x1.0p64);
-}
-
-}  // namespace
-
-float FusedDropoutScale(uint64_t seed, int64_t idx, float dropout_p) {
-  return DropoutHash(seed, idx) < DropoutThreshold(dropout_p)
-             ? 0.0f
-             : 1.0f / (1.0f - dropout_p);
-}
 
 Tensor FusedAttentionForward(const Tensor& q, const Tensor& k,
                              const Tensor& v, const Tensor& mask,
@@ -195,29 +166,28 @@ Tensor FusedAttentionForward(const Tensor& q, const Tensor& k,
           }
           const float* mrow = mview.Row(bi, hi, i0 + i);
           float* srow = scores + i * tk + j0;
-          float m = m_run[i];
-          for (int64_t jj = 0; jj < jb; ++jj) {
-            float s = acc[jj] * cfg.scale;
-            if (mrow != nullptr && mrow[j0 + jj] != 0.0f) s += cfg.penalty;
-            srow[jj] = s;
-            m = std::max(m, s);
+          if (mrow != nullptr) {
+            for (int64_t jj = 0; jj < jb; ++jj) {
+              const float s = acc[jj] * cfg.scale;
+              srow[jj] = Select(mrow[j0 + jj] != 0.0f, s + cfg.penalty, s);
+            }
+          } else {
+            for (int64_t jj = 0; jj < jb; ++jj) srow[jj] = acc[jj] * cfg.scale;
           }
+          float m = m_run[i];
+          for (int64_t jj = 0; jj < jb; ++jj) m = std::max(m, srow[jj]);
           m_run[i] = m;
         }
       }
 
-      // Pass 2: exact softmax over each scratch row (exp/sum/normalize in
-      // ascending j, exactly like ops::Softmax), fully-masked rows zeroed
+      // Pass 2: exact softmax over each scratch row (ExpApprox, LaneSum
+      // and normalize, exactly like ops::Softmax), fully-masked rows zeroed
       // like autograd::MaskedSoftmax, then the dropout scale.
       for (int64_t i = 0; i < br; ++i) {
         float* srow = scores + i * tk;
         const float m = m_run[i];
-        float denom = 0.0f;
-        for (int64_t j = 0; j < tk; ++j) {
-          const float e = std::exp(srow[j] - m);
-          srow[j] = e;
-          denom += e;
-        }
+        for (int64_t j = 0; j < tk; ++j) srow[j] = ExpApprox(srow[j] - m);
+        const float denom = LaneSum(srow, tk);
         if (pm != nullptr) {
           const int64_t stat = (bi * heads + hi) * tq + i0 + i;
           pm[stat] = m;
@@ -232,9 +202,9 @@ Tensor FusedAttentionForward(const Tensor& q, const Tensor& k,
         if (cfg.dropout) {
           const int64_t base = ((bi * heads + hi) * tq + i0 + i) * tk;
           for (int64_t j = 0; j < tk; ++j) {
-            srow[j] *= DropoutHash(cfg.dropout_seed, base + j) < drop_thresh
-                           ? 0.0f
-                           : inv_keep;
+            srow[j] *= Select(
+                DropoutHash(cfg.dropout_seed, base + j) < drop_thresh, 0.0f,
+                inv_keep);
           }
         }
       }
@@ -348,10 +318,18 @@ void FusedAttentionBackward(const Tensor& dout, const Tensor& q,
             prob[j] = MulAdd(qd, kt[j], prob[j]);
           }
         }
+        // The scaled scores go through memory before the exp, as in the
+        // forward, so the scale cannot be contracted into `s - m`.
+        if (mrow != nullptr) {
+          for (int64_t j = 0; j < tk; ++j) {
+            const float s = prob[j] * cfg.scale;
+            prob[j] = Select(mrow[j] != 0.0f, s + cfg.penalty, s);
+          }
+        } else {
+          for (int64_t j = 0; j < tk; ++j) prob[j] *= cfg.scale;
+        }
         for (int64_t j = 0; j < tk; ++j) {
-          float s = prob[j] * cfg.scale;
-          if (mrow != nullptr && mrow[j] != 0.0f) s += cfg.penalty;
-          prob[j] = std::exp(s - m) * inv_l;
+          prob[j] = ExpApprox(prob[j] - m) * inv_l;
         }
 
         // dprob[j] = dout_i . v_j, through the dropout mul if present.
@@ -370,10 +348,9 @@ void FusedAttentionBackward(const Tensor& dout, const Tensor& q,
         if (cfg.dropout) {
           const int64_t base = ((bi * heads + hi) * tq + i) * tk;
           for (int64_t j = 0; j < tk; ++j) {
-            const float ds = DropoutHash(cfg.dropout_seed, base + j) <
-                                     drop_thresh
-                                 ? 0.0f
-                                 : inv_keep;
+            const float ds = Select(
+                DropoutHash(cfg.dropout_seed, base + j) < drop_thresh, 0.0f,
+                inv_keep);
             pdbuf[j] = prob[j] * ds;
             dprob[j] *= ds;
           }

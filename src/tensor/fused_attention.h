@@ -20,19 +20,16 @@ struct FusedAttentionConfig {
   /// Additive penalty for blocked positions (reference: MaskedSoftmax).
   float penalty = -1e9f;
   /// Inverted-dropout on the attention probabilities. When `dropout` is
-  /// set, element (b, h, i, j) of the prob tensor is dropped iff the
-  /// counter-based hash of (dropout_seed, flat index) lands below
-  /// dropout_p; survivors scale by 1/(1-p). The mask is a pure function of
-  /// (seed, index) — order-free, thread-count-free and recomputable — so
-  /// neither forward nor backward ever stores it.
+  /// set, element (b, h, i, j) of the prob tensor is dropped by the one
+  /// dropout decision of kernel_math.h, DropoutHash(dropout_seed, flat
+  /// index) < DropoutThreshold(dropout_p); survivors scale by 1/(1-p). The
+  /// mask is a pure function of (seed, index) — order-free,
+  /// thread-count-free and recomputable — so neither forward nor backward
+  /// ever stores it.
   bool dropout = false;
   float dropout_p = 0.0f;
   uint64_t dropout_seed = 0;
 };
-
-/// The (recomputable) dropout decision for flat prob index `idx`: 0 when
-/// dropped, 1/(1-p) when kept. Exposed so tests can pin semantics.
-float FusedDropoutScale(uint64_t seed, int64_t idx, float dropout_p);
 
 /// Tiled attention forward with an online row max and per-thread scratch:
 ///
@@ -47,10 +44,11 @@ float FusedDropoutScale(uint64_t seed, int64_t idx, float dropout_p);
 /// through thread-local scratch and never materializes the [B, h, Tq, Tk]
 /// score or prob tensors. Accumulation per output element is a single
 /// ascending-index MulAdd chain (kernel_math.h), and softmax uses the same
-/// global-row-max formulation as ops::Softmax, so outputs are bit-identical
-/// to the unfused MatMul -> MulScalar -> MaskedSoftmax -> MatMul chain at
-/// any thread count. Rows whose positions are all blocked produce zeros
-/// (matching autograd::MaskedSoftmax), never NaNs.
+/// global-row-max formulation, ExpApprox and LaneSum as ops::Softmax, so
+/// outputs are bit-identical to the unfused MatMul -> MulScalar ->
+/// MaskedSoftmax -> MatMul chain at any thread count. Rows whose positions
+/// are all blocked produce zeros (matching autograd::MaskedSoftmax), never
+/// NaNs.
 ///
 /// When `row_max`/`row_sum` are non-null they receive the per-row softmax
 /// statistics m_i (masked row max) and l_i (sum of exp(s - m_i)), each

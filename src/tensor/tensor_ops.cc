@@ -153,6 +153,22 @@ Tensor GeluGrad(const Tensor& dy, const Tensor& x) {
       "GeluGrad");
 }
 
+Tensor Dropout(const Tensor& x, uint64_t seed, float p) {
+  EMX_TRACE_SPAN("kernel.dropout",
+                 [&] { return obs::KeyValues({{"size", x.size()}}); });
+  const uint64_t thresh = DropoutThreshold(p);
+  const float scale = 1.0f / (1.0f - p);
+  Tensor out(x.shape());
+  const float* in = x.data();
+  float* o = out.data();
+  ParallelFor(x.size(), kElemGrain, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      o[i] = in[i] * Select(DropoutHash(seed, i) < thresh, 0.0f, scale);
+    }
+  });
+  return out;
+}
+
 Tensor TanhGradFromOutput(const Tensor& dy, const Tensor& y) {
   return Binary(
       dy, y, [](float g, float t) { return g * MulAdd(-t, t, 1.0f); },
@@ -675,12 +691,8 @@ Tensor Softmax(const Tensor& x) {
       float* dst = o + r * n;
       float mx = src[0];
       for (int64_t j = 1; j < n; ++j) mx = std::max(mx, src[j]);
-      float denom = 0.0f;
-      for (int64_t j = 0; j < n; ++j) {
-        dst[j] = std::exp(src[j] - mx);
-        denom += dst[j];
-      }
-      const float inv = 1.0f / denom;
+      for (int64_t j = 0; j < n; ++j) dst[j] = ExpApprox(src[j] - mx);
+      const float inv = 1.0f / LaneSum(dst, n);
       for (int64_t j = 0; j < n; ++j) dst[j] *= inv;
     }
   });
@@ -720,9 +732,9 @@ Tensor LogSoftmax(const Tensor& x) {
       float* dst = o + r * n;
       float mx = src[0];
       for (int64_t j = 1; j < n; ++j) mx = std::max(mx, src[j]);
-      float denom = 0.0f;
-      for (int64_t j = 0; j < n; ++j) denom += std::exp(src[j] - mx);
-      const float log_denom = std::log(denom) + mx;
+      // dst holds the exps until the last loop overwrites them.
+      for (int64_t j = 0; j < n; ++j) dst[j] = ExpApprox(src[j] - mx);
+      const float log_denom = std::log(LaneSum(dst, n)) + mx;
       for (int64_t j = 0; j < n; ++j) dst[j] = src[j] - log_denom;
     }
   });

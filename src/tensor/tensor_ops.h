@@ -48,6 +48,11 @@ Tensor Gelu(const Tensor& x);
 Tensor GeluGrad(const Tensor& dy, const Tensor& x);
 /// dx = dy * (1 - tanh(x)^2) given y = tanh(x).
 Tensor TanhGradFromOutput(const Tensor& dy, const Tensor& y);
+/// Inverted dropout with the mask of kernel_math.h: element i is 0 when
+/// DropoutHash(seed, i) < DropoutThreshold(p) and x[i] / (1 - p)
+/// otherwise. The mask is a function of (seed, i) alone, so the backward
+/// of dropout is this same call on the upstream gradient. 0 <= p < 1.
+Tensor Dropout(const Tensor& x, uint64_t seed, float p);
 
 // Tanh, Gelu, GeluGrad and Relu evaluate the scalar functions of
 // kernel_math.h (TanhApprox, Gelu, GeluDerivative, Relu), in loops GCC
@@ -107,11 +112,14 @@ std::vector<int64_t> ArgMaxLastAxis(const Tensor& x);
 
 // ---- Softmax family --------------------------------------------------
 
-/// Numerically stable softmax over the last axis.
+/// Numerically stable softmax over the last axis: ExpApprox(x - row max),
+/// summed with LaneSum (kernel_math.h), the fused attention kernel's exact
+/// sequence of operations.
 Tensor Softmax(const Tensor& x);
 /// dx given y = softmax(x) and upstream dy: dx = y * (dy - sum(dy*y)).
 Tensor SoftmaxGradFromOutput(const Tensor& dy, const Tensor& y);
-/// Numerically stable log-softmax over the last axis.
+/// Numerically stable log-softmax over the last axis; its exps and sum are
+/// Softmax's.
 Tensor LogSoftmax(const Tensor& x);
 
 /// Adds `value` at positions where mask != 0. `mask` must be broadcastable

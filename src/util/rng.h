@@ -36,7 +36,8 @@ class Rng {
   /// Standard normal via Box-Muller.
   double NextGaussian();
 
-  /// Bernoulli trial with probability p of returning true.
+  /// Bernoulli trial with probability p of returning true. For the data
+  /// generators; dropout masks use the hash of tensor/kernel_math.h.
   bool NextBernoulli(double p);
 
   /// Samples an index according to non-negative weights (need not be

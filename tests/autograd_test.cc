@@ -1,20 +1,31 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <thread>
 #include <tuple>
 
 #include "tensor/autograd_ops.h"
+#include "tensor/kernel_math.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/variable.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace emx {
 namespace {
 
 namespace ag = autograd;
+
+// Force a multi-worker global pool even on single-core CI boxes so the
+// threaded kernel paths are exercised (the pool is built lazily on the
+// first ParallelFor call after main starts).
+const bool kForceThreadedPool = [] {
+  setenv("EMX_NUM_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 constexpr float kGradTol = 2e-2f;  // fp32 central differences
 
@@ -399,6 +410,87 @@ TEST(DropoutTest, GradientMatchesMask) {
       EXPECT_NEAR(x.grad()[i], 2.0f, 1e-5);
     }
   }
+}
+
+/// The dropout of (x, seed, p) computed serially from kernel_math.h's hash.
+Tensor ExpectedDropout(const Tensor& x, uint64_t seed, float p) {
+  Tensor want(x.shape());
+  const uint64_t thresh = ops::DropoutThreshold(p);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    want[i] = ops::DropoutHash(seed, i) < thresh ? 0.0f
+                                                 : x[i] * (1.0f / (1.0f - p));
+  }
+  return want;
+}
+
+void ExpectBitIdentical(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (int64_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "index " << i;
+  }
+}
+
+TEST(DropoutTest, SameSeedGivesSameMask) {
+  Rng data(58);
+  Variable x = Variable::Constant(Tensor::Randn({33, 17}, &data));
+  Rng a(7), b(7), c(8);
+  const Tensor ya = ag::Dropout(x, 0.3f, /*train=*/true, &a).value();
+  const Tensor yb = ag::Dropout(x, 0.3f, /*train=*/true, &b).value();
+  const Tensor yc = ag::Dropout(x, 0.3f, /*train=*/true, &c).value();
+  ExpectBitIdentical(ya, yb);
+  bool differs = false;
+  for (int64_t i = 0; i < ya.size(); ++i) differs |= ya[i] != yc[i];
+  EXPECT_TRUE(differs) << "another seed should give another mask";
+}
+
+TEST(DropoutTest, BackwardRecomputesTheForwardMask) {
+  // The call draws exactly one seed, the forward is the hash's mask, and
+  // the backward applies the same zeros and the same scale to an upstream
+  // gradient it has never seen, with no mask tensor to read it from.
+  Rng data(59);
+  const float p = 0.4f;
+  Variable x = Variable::Parameter(Tensor::Randn({37, 29}, &data));
+  const Tensor w = Tensor::Randn({37, 29}, &data);
+  Rng rng(60);
+  Rng replay = rng;
+  const uint64_t seed = replay.Next();
+  Variable y = ag::Dropout(x, p, /*train=*/true, &rng);
+  EXPECT_EQ(rng.Next(), replay.Next()) << "one draw per call";
+  ExpectBitIdentical(y.value(), ExpectedDropout(x.value(), seed, p));
+  Backward(ag::SumAll(ag::Mul(y, Variable::Constant(w))));
+  ExpectBitIdentical(x.grad(), ExpectedDropout(w, seed, p));
+}
+
+TEST(DropoutTest, KeepRateMatchesP) {
+  for (const float p : {0.1f, 0.5f}) {
+    Rng rng(61);
+    Variable x = Variable::Constant(Tensor::Ones({400, 500}));
+    const Tensor y = ag::Dropout(x, p, /*train=*/true, &rng).value();
+    int64_t kept = 0;
+    for (int64_t i = 0; i < y.size(); ++i) kept += y[i] != 0.0f;
+    // 200k Bernoulli draws: one standard deviation is at most 0.0011.
+    EXPECT_NEAR(static_cast<double>(kept) / y.size(), 1.0 - p, 0.005)
+        << "p=" << p;
+  }
+}
+
+TEST(DropoutTest, MaskDoesNotDependOnThreadCount) {
+  ASSERT_GE(GlobalThreadPool()->num_threads(), 4u);
+  // [720 x 256], the FFN intermediate of a 16-pair batch: several
+  // ParallelFor chunks on the pool, one inline chunk on a pool worker.
+  Rng data(62);
+  Variable x = Variable::Constant(Tensor::Randn({720, 256}, &data));
+  Rng rng(63);
+  Rng replay = rng;
+  const Tensor pooled = ag::Dropout(x, 0.1f, /*train=*/true, &rng).value();
+  Tensor inline_run;
+  GlobalThreadPool()->Submit([&] {
+    inline_run = ag::Dropout(x, 0.1f, /*train=*/true, &replay).value();
+  });
+  GlobalThreadPool()->Wait();
+  ExpectBitIdentical(pooled, inline_run);
+  Rng seed_rng(63);
+  ExpectBitIdentical(pooled, ExpectedDropout(x.value(), seed_rng.Next(), 0.1f));
 }
 
 // ---- Two-layer MLP end-to-end gradient check ------------------------------------
@@ -812,6 +904,35 @@ TEST(FusedAttentionTest, DropoutZerosAndScalesLikeInvertedDropout) {
   mean /= static_cast<double>(dropped.size());
   EXPECT_TRUE(any_differs);
   EXPECT_NEAR(mean, 1.0, 0.35);
+}
+
+TEST(FusedAttentionTest, DropoutForwardBitIdenticalToReferenceChain) {
+  // Both paths draw one seed from the Rng and drop prob element
+  // (b, h, i, j) by the same hash of its flat index, so at the same Rng
+  // state they drop the same elements and scale the survivors the same way.
+  Rng rng(29);
+  const int64_t b = 2, t = 9, heads = 2, hidden = 8;
+  Variable q = Variable::Constant(Tensor::Randn({b, t, hidden}, &rng, 0.8f));
+  Variable k = Variable::Constant(Tensor::Randn({b, t, hidden}, &rng, 0.8f));
+  Variable v = Variable::Constant(Tensor::Randn({b, t, hidden}, &rng, 0.8f));
+  const Tensor mask = PaddingMask(b, t, 2);
+  Rng fused_rng(30), ref_rng(30);
+  Tensor fused = ag::FusedAttention(q, k, v, mask, heads, 0.3f, true,
+                                    &fused_rng)
+                     .value();
+  const int64_t dh = hidden / heads;
+  auto split = [&](const Variable& x) {
+    return ag::Permute(ag::Reshape(x, {b, t, heads, dh}), {0, 2, 1, 3});
+  };
+  Variable probs = ag::MaskedSoftmax(
+      ag::MulScalar(ag::MatMul(split(q), split(k), false, true),
+                    1.0f / std::sqrt(static_cast<float>(dh))),
+      mask);
+  probs = ag::Dropout(probs, 0.3f, true, &ref_rng);
+  Tensor ref = ag::PermuteReshape(ag::MatMul(probs, split(v)), {0, 2, 1, 3},
+                                  {b, t, hidden})
+                   .value();
+  ExpectBitIdentical(fused, ref);
 }
 
 TEST(FusedAttentionTest, FullyMaskedQueryRowYieldsZeroNotNaN) {
