@@ -36,10 +36,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/report.h"
 #include "tensor/autograd_ops.h"
 #include "tensor/tensor.h"
 #include "tensor/variable.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace emx {
@@ -216,7 +218,6 @@ int main(int argc, char** argv) {
   // Single-thread by default so the gate measures the kernel, not the pool.
   // setenv before the first tensor op; an exported value wins.
   setenv("EMX_NUM_THREADS", "1", /*overwrite=*/0);
-  const char* threads = std::getenv("EMX_NUM_THREADS");
 
   const int64_t batch = bench::EnvInt("EMX_ATTN_BATCH", smoke ? 2 : 8);
   std::vector<ShapeCase> cases;
@@ -234,22 +235,23 @@ int main(int argc, char** argv) {
   }
 
   std::printf("bench_attention — fused tiled attention vs reference chain "
-              "(EMX_NUM_THREADS=%s%s)\n\n",
-              threads == nullptr ? "?" : threads, smoke ? ", --smoke" : "");
+              "(%zu threads%s)\n\n",
+              GlobalThreadPool()->num_threads(), smoke ? ", --smoke" : "");
   std::printf("%-22s %7s | %9s %9s %7s | %9s %9s %7s | %9s %9s\n", "shape",
               "exact", "ref fwd", "fus fwd", "fwd x", "ref trn", "fus trn",
               "trn x", "ref MiB", "fus MiB");
 
-  std::vector<CaseResult> results;
+  bench::Report report("attention");
+  report.Set("smoke", smoke);
+  std::vector<bench::JsonObject> rows;
   bool all_exact = true;
   bool memory_ok = true;
-  bool speedup_ok = true;
+  double gated_train_speedup = 0;
   for (const ShapeCase& s : cases) {
     CaseResult r = RunCase(s, smoke);
-    results.push_back(r);
     all_exact = all_exact && r.exact;
     memory_ok = memory_ok && r.peak_fused_bytes < r.peak_ref_bytes;
-    if (r.shape.gated && r.train_speedup < 1.5) speedup_ok = false;
+    if (r.shape.gated) gated_train_speedup = r.train_speedup;
     char shape[64];
     std::snprintf(shape, sizeof(shape), "B%lld h%lld dh%lld T%lld",
                   static_cast<long long>(s.batch),
@@ -263,50 +265,29 @@ int main(int argc, char** argv) {
         r.fwd_speedup, r.train_ref_ms, r.train_fused_ms, r.train_speedup,
         static_cast<double>(r.peak_ref_bytes) / (1024.0 * 1024.0),
         static_cast<double>(r.peak_fused_bytes) / (1024.0 * 1024.0));
+    rows.push_back(bench::JsonObject()
+                       .Set("batch", s.batch)
+                       .Set("heads", s.heads)
+                       .Set("head_dim", s.head_dim)
+                       .Set("seq", s.seq)
+                       .Set("exact", r.exact)
+                       .Set("fwd_ref_ms", r.fwd_ref_ms)
+                       .Set("fwd_fused_ms", r.fwd_fused_ms)
+                       .Set("fwd_speedup", r.fwd_speedup)
+                       .Set("train_ref_ms", r.train_ref_ms)
+                       .Set("train_fused_ms", r.train_fused_ms)
+                       .Set("train_speedup", r.train_speedup)
+                       .Set("peak_ref_bytes", r.peak_ref_bytes)
+                       .Set("peak_fused_bytes", r.peak_fused_bytes));
   }
+  report.Set("cases", rows);
 
-  const bool gates_pass =
-      all_exact && memory_ok && (smoke || speedup_ok);
-  std::printf("\ngates: exact forward %s, fused peak < reference peak %s",
-              all_exact ? "PASS" : "FAIL", memory_ok ? "PASS" : "FAIL");
-  if (!smoke) {
-    std::printf(", train speedup >= 1.5x at T=256 %s",
-                speedup_ok ? "PASS" : "FAIL");
+  report.Check("exact forward", all_exact);
+  report.Check("fused peak < reference peak", memory_ok);
+  if (smoke) {
+    report.Skip("train speedup at T=256", "no timing gate in --smoke");
+  } else {
+    report.Gate("train speedup at T=256", gated_train_speedup, ">=", 1.5);
   }
-  std::printf(" — %s\n", gates_pass ? "PASS" : "FAIL");
-
-  FILE* out = std::fopen("BENCH_attention.json", "w");
-  if (out == nullptr) {
-    std::printf("error: cannot write BENCH_attention.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"threads\": %s,\n  \"smoke\": %s,\n",
-               threads == nullptr ? "0" : threads, smoke ? "true" : "false");
-  std::fprintf(out, "  \"gates_pass\": %s,\n", gates_pass ? "true" : "false");
-  std::fprintf(out, "  \"cases\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    std::fprintf(
-        out,
-        "    {\"batch\": %lld, \"heads\": %lld, \"head_dim\": %lld, "
-        "\"seq\": %lld, \"exact\": %s, "
-        "\"fwd_ref_ms\": %.3f, \"fwd_fused_ms\": %.3f, "
-        "\"fwd_speedup\": %.3f, "
-        "\"train_ref_ms\": %.3f, \"train_fused_ms\": %.3f, "
-        "\"train_speedup\": %.3f, "
-        "\"peak_ref_bytes\": %lld, \"peak_fused_bytes\": %lld}%s\n",
-        static_cast<long long>(r.shape.batch),
-        static_cast<long long>(r.shape.heads),
-        static_cast<long long>(r.shape.head_dim),
-        static_cast<long long>(r.shape.seq), r.exact ? "true" : "false",
-        r.fwd_ref_ms, r.fwd_fused_ms, r.fwd_speedup, r.train_ref_ms,
-        r.train_fused_ms, r.train_speedup,
-        static_cast<long long>(r.peak_ref_bytes),
-        static_cast<long long>(r.peak_fused_bytes),
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_attention.json\n");
-  return gates_pass ? 0 : 1;
+  return report.Finish();
 }

@@ -37,9 +37,11 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/report.h"
 #include "core/entity_matcher.h"
 #include "net/fleet_router.h"
 #include "net/match_server.h"
+#include "obs/metrics.h"
 #include "pretrain/model_zoo.h"
 #include "serve/matcher_engine.h"
 #include "util/timer.h"
@@ -48,16 +50,6 @@ namespace emx {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double PercentileMs(std::vector<double> us, double q) {
-  if (us.empty()) return 0;
-  std::sort(us.begin(), us.end());
-  const double idx = q * static_cast<double>(us.size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, us.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return (us[lo] + (us[hi] - us[lo]) * frac) / 1000.0;
-}
 
 /// One fleet: engines + socket servers on ephemeral loopback ports. Every
 /// engine shares one EntityMatcher — grad-free forwards only read the
@@ -115,6 +107,7 @@ struct Fleet {
 struct RunStats {
   double wall_s = 0;
   double throughput_rps = 0;
+  // Ascending after a run, for obs::Percentile.
   std::vector<double> served_us;  // OK completions, router-measured
   int64_t served = 0;
   int64_t rejected = 0;
@@ -149,6 +142,7 @@ RunStats RunClosedLoop(net::FleetRouter* router, int64_t n, int threads,
     stats.served += static_cast<int64_t>(v.size());
     stats.served_us.insert(stats.served_us.end(), v.begin(), v.end());
   }
+  std::sort(stats.served_us.begin(), stats.served_us.end());
   stats.errors = n / threads * threads - stats.served;
   stats.throughput_rps = static_cast<double>(stats.served) / stats.wall_s;
   return stats;
@@ -207,6 +201,8 @@ RunStats RunOpenLoop(net::FleetRouter* router, int64_t n, double rate_rps,
   }
   stats.wall_s = timer.ElapsedSeconds();
   stats.throughput_rps = static_cast<double>(stats.served) / stats.wall_s;
+  std::sort(stats.served_us.begin(), stats.served_us.end());
+  std::sort(stats.reject_us.begin(), stats.reject_us.end());
   return stats;
 }
 
@@ -265,7 +261,7 @@ int main(int argc, char** argv) {
     std::printf("%-26s %8.1f rps   (%lld served, p99 %.1fms)\n",
                 "scaling: 1 shard", tput_one,
                 static_cast<long long>(s.served),
-                PercentileMs(s.served_us, 0.99));
+                obs::Percentile(s.served_us, 0.99) / 1e3);
     router.Shutdown();
     one.Stop();
   }
@@ -285,14 +281,13 @@ int main(int argc, char** argv) {
     std::printf("%-26s %8.1f rps   (%lld served, p99 %.1fms)\n",
                 ("scaling: " + std::to_string(shards) + " shards").c_str(),
                 tput_many, static_cast<long long>(s.served),
-                PercentileMs(s.served_us, 0.99));
+                obs::Percentile(s.served_us, 0.99) / 1e3);
     router.Shutdown();
     many.Stop();
   }
   const double speedup = tput_many / tput_one;
   const double speedup_floor = smoke ? 1.5 : 3.0;
-  std::printf("%-26s %8.2fx  (floor %.1fx)\n\n", "scaling speedup", speedup,
-              speedup_floor);
+  std::printf("\n");
 
   // ---- Experiment 2: straggler + hedged retries ---------------------------
   // One shard 10x slower; open-loop at 30% of the healthy fleet rate (so
@@ -330,10 +325,10 @@ int main(int argc, char** argv) {
     }
     fleet.Stop();
   }
-  const double unhedged_p50 = PercentileMs(unhedged.served_us, 0.5);
-  const double unhedged_p99 = PercentileMs(unhedged.served_us, 0.99);
-  const double hedged_p50 = PercentileMs(hedged.served_us, 0.5);
-  const double hedged_p99 = PercentileMs(hedged.served_us, 0.99);
+  const double unhedged_p50 = obs::Percentile(unhedged.served_us, 0.5) / 1e3;
+  const double unhedged_p99 = obs::Percentile(unhedged.served_us, 0.99) / 1e3;
+  const double hedged_p50 = obs::Percentile(hedged.served_us, 0.5) / 1e3;
+  const double hedged_p99 = obs::Percentile(hedged.served_us, 0.99) / 1e3;
   std::printf("%-26s p50 %7.1fms  p99 %8.1fms  (%lld served)\n",
               "straggler: unhedged", unhedged_p50, unhedged_p99,
               static_cast<long long>(unhedged.served));
@@ -370,9 +365,9 @@ int main(int argc, char** argv) {
     }
     fleet.Stop();
   }
-  const double baseline_p99 = PercentileMs(baseline.served_us, 0.99);
-  const double overload_p99 = PercentileMs(overload.served_us, 0.99);
-  const double reject_p99 = PercentileMs(overload.reject_us, 0.99);
+  const double baseline_p99 = obs::Percentile(baseline.served_us, 0.99) / 1e3;
+  const double overload_p99 = obs::Percentile(overload.served_us, 0.99) / 1e3;
+  const double reject_p99 = obs::Percentile(overload.reject_us, 0.99) / 1e3;
   std::printf("%-26s p99 %7.1fms  (%lld served, %lld rejected)\n",
               "overload: 0.4x capacity", baseline_p99,
               static_cast<long long>(baseline.served),
@@ -383,72 +378,44 @@ int main(int argc, char** argv) {
               static_cast<long long>(overload.served),
               static_cast<long long>(overload.rejected), reject_p99);
 
-  // ---- Gates ---------------------------------------------------------------
-  const bool scaling_ok = speedup >= speedup_floor;
-  const bool hedge_p99_ok = hedged_p99 <= 0.5 * unhedged_p99;
+  bench::Report report("fleet");
+  const int64_t errors =
+      unhedged.errors + hedged.errors + baseline.errors + overload.errors;
+  report.Set("smoke", smoke)
+      .Set("shards", shards)
+      .Set("service_us", service_us)
+      .Set("requests_per_experiment", n)
+      .Set("throughput_1_shard_rps", tput_one, 1)
+      .Set("throughput_n_shards_rps", tput_many, 1)
+      .Set("scaling_speedup", speedup, 2)
+      .Set("scaling_floor", speedup_floor, 1)
+      .Set("straggler_unhedged_p50_ms", unhedged_p50, 2)
+      .Set("straggler_unhedged_p99_ms", unhedged_p99, 2)
+      .Set("straggler_hedged_p50_ms", hedged_p50, 2)
+      .Set("straggler_hedged_p99_ms", hedged_p99, 2)
+      .Set("straggler_hedged_requests", hedged.hedged)
+      .Set("overload_baseline_p99_ms", baseline_p99, 2)
+      .Set("overload_served_p99_ms", overload_p99, 2)
+      .Set("overload_served", overload.served)
+      .Set("overload_rejected", overload.rejected)
+      .Set("overload_reject_p99_ms", reject_p99)
+      .Set("errors", errors);
+  report.Gate("scaling speedup", speedup, ">=", speedup_floor);
+  report.Gate("hedged p99 ms", hedged_p99, "<=", 0.5 * unhedged_p99);
   // At full scale the straggler holds a minority (1/shards) of the hash
   // ring, so the median is served by healthy shards in both runs and must
   // not move (+/-10%). At smoke scale (2 shards) the straggler owns ~half
   // the ring and dominates the unhedged median, so "unchanged" is the
   // wrong shape — the gate degrades to one-sided (hedging must not hurt
   // the median).
-  const bool hedge_p50_ok =
-      unhedged_p50 > 0 &&
-      (smoke ? hedged_p50 <= 1.10 * unhedged_p50
-             : std::fabs(hedged_p50 / unhedged_p50 - 1.0) <= 0.10);
-  const bool overload_rejects = overload.rejected > 0;
-  const bool reject_fast = reject_p99 <= 5.0;
-  const bool overload_p99_ok = overload_p99 <= 1.5 * baseline_p99;
-  const bool errors_ok = unhedged.errors + hedged.errors + baseline.errors +
-                             overload.errors ==
-                         0;
-  const bool gates_pass = scaling_ok && hedge_p99_ok && hedge_p50_ok &&
-                          overload_rejects && reject_fast && overload_p99_ok &&
-                          errors_ok;
-  std::printf("gates: scaling >= %.1fx %s, hedged p99 <= 0.5x %s, hedged p50 "
-              "+/-10%% %s, overload rejects %s, reject p99 <= 5ms %s, "
-              "overload p99 <= 1.5x %s, zero errors %s — %s\n",
-              speedup_floor, scaling_ok ? "PASS" : "FAIL",
-              hedge_p99_ok ? "PASS" : "FAIL", hedge_p50_ok ? "PASS" : "FAIL",
-              overload_rejects ? "PASS" : "FAIL",
-              reject_fast ? "PASS" : "FAIL",
-              overload_p99_ok ? "PASS" : "FAIL", errors_ok ? "PASS" : "FAIL",
-              gates_pass ? "PASS" : "FAIL");
-
-  FILE* out = std::fopen("BENCH_fleet.json", "w");
-  if (out == nullptr) {
-    std::printf("error: cannot write BENCH_fleet.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out, "  \"gates_pass\": %s,\n", gates_pass ? "true" : "false");
-  std::fprintf(out, "  \"shards\": %d,\n", shards);
-  std::fprintf(out, "  \"service_us\": %lld,\n",
-               static_cast<long long>(service_us));
-  std::fprintf(out, "  \"requests_per_experiment\": %lld,\n",
-               static_cast<long long>(n));
-  std::fprintf(out, "  \"throughput_1_shard_rps\": %.1f,\n", tput_one);
-  std::fprintf(out, "  \"throughput_n_shards_rps\": %.1f,\n", tput_many);
-  std::fprintf(out, "  \"scaling_speedup\": %.2f,\n", speedup);
-  std::fprintf(out, "  \"scaling_floor\": %.1f,\n", speedup_floor);
-  std::fprintf(out, "  \"straggler_unhedged_p50_ms\": %.2f,\n", unhedged_p50);
-  std::fprintf(out, "  \"straggler_unhedged_p99_ms\": %.2f,\n", unhedged_p99);
-  std::fprintf(out, "  \"straggler_hedged_p50_ms\": %.2f,\n", hedged_p50);
-  std::fprintf(out, "  \"straggler_hedged_p99_ms\": %.2f,\n", hedged_p99);
-  std::fprintf(out, "  \"straggler_hedged_requests\": %lld,\n",
-               static_cast<long long>(hedged.hedged));
-  std::fprintf(out, "  \"overload_baseline_p99_ms\": %.2f,\n", baseline_p99);
-  std::fprintf(out, "  \"overload_served_p99_ms\": %.2f,\n", overload_p99);
-  std::fprintf(out, "  \"overload_served\": %lld,\n",
-               static_cast<long long>(overload.served));
-  std::fprintf(out, "  \"overload_rejected\": %lld,\n",
-               static_cast<long long>(overload.rejected));
-  std::fprintf(out, "  \"overload_reject_p99_ms\": %.3f,\n", reject_p99);
-  std::fprintf(out, "  \"errors\": %lld\n",
-               static_cast<long long>(unhedged.errors + hedged.errors +
-                                      baseline.errors + overload.errors));
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_fleet.json\n");
-  return gates_pass ? 0 : 1;
+  report.Check(smoke ? "hedged p50 <= 1.1x unhedged" : "hedged p50 +/-10%",
+               unhedged_p50 > 0 &&
+                   (smoke ? hedged_p50 <= 1.10 * unhedged_p50
+                          : std::fabs(hedged_p50 / unhedged_p50 - 1.0) <= 0.10));
+  report.Gate("overload rejections", overload.rejected, ">", 0);
+  report.Gate("reject p99 ms", reject_p99, "<=", 5.0);
+  report.Gate("overload served p99 ms", overload_p99, "<=",
+              1.5 * baseline_p99);
+  report.Gate("errors", errors, "==", 0);
+  return report.Finish();
 }

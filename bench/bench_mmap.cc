@@ -57,10 +57,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/report.h"
 #include "core/entity_matcher.h"
 #include "io/emxm.h"
 #include "models/encoder.h"
 #include "nn/layers.h"
+#include "obs/metrics.h"
 #include "pretrain/model_zoo.h"
 #include "quant/model_file.h"
 #include "quant/quantize_matcher.h"
@@ -114,11 +116,6 @@ std::vector<std::pair<std::string, std::string>> ProbePairs() {
       {"canon prime zz910 camera optical zoom", "nikon d3500 dslr camera kit"},
       {"acer laptop zx1004 series 14 inch", "acer zx1004 laptop silver"},
   };
-}
-
-double MedianMs(std::vector<double> ms) {
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
 }
 
 // ---- Sections 1 and 4: Rss/Pss of a mapping from smaps ---------------------
@@ -289,7 +286,8 @@ int main(int argc, char** argv) {
     // Only this rep's matcher maps the file right now.
     resident_kb = std::max(resident_kb, ReadSmaps(emxm).rss_kb);
   }
-  const double mmap_ms = MedianMs(mmap_ms_runs);
+  std::sort(mmap_ms_runs.begin(), mmap_ms_runs.end());
+  const double mmap_ms = obs::Percentile(mmap_ms_runs, 0.5);
   const double resident_share =
       emxm_bytes > 0 ? static_cast<double>(resident_kb) * 1024.0 /
                            static_cast<double>(emxm_bytes)
@@ -433,51 +431,29 @@ int main(int argc, char** argv) {
                 static_cast<long long>(s.pss_kb));
   }
 
-  // ---- Gates --------------------------------------------------------------
-  const bool resident_ok =
-      resident_kb > 0 && resident_share <= kResidentCeiling;
-  const bool exact_ok = mismatches == 0;
-  const bool swap_ok = request_failures == 0 && swap_failures == 0 &&
-                       swap_count >= 2 && versions_seen >= 2;
-  const bool share_ok = shares.size() == 2 && all_resident &&
-                        worst_share <= 0.7;
-  const bool gates_pass = resident_ok && exact_ok && swap_ok && share_ok;
-  std::printf("gates: resident after first inference <= %.0f%% %s, "
-              "bit-identical %s, zero-drop hot-swap %s, pages shared "
-              "(pss/rss <= 0.7) %s — %s\n",
-              100.0 * kResidentCeiling, resident_ok ? "PASS" : "FAIL",
-              exact_ok ? "PASS" : "FAIL", swap_ok ? "PASS" : "FAIL",
-              share_ok ? "PASS" : "FAIL", gates_pass ? "PASS" : "FAIL");
-
-  FILE* out = std::fopen("BENCH_mmap.json", "w");
-  if (out == nullptr) {
-    std::printf("error: cannot write BENCH_mmap.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out, "  \"gates_pass\": %s,\n", gates_pass ? "true" : "false");
-  std::fprintf(out, "  \"layers\": %lld,\n", static_cast<long long>(layers));
-  std::fprintf(out, "  \"hidden\": %lld,\n", static_cast<long long>(hidden));
-  std::fprintf(out, "  \"container_bytes\": %lld,\n",
-               static_cast<long long>(emxm_bytes));
-  std::fprintf(out, "  \"cold_start_mmap_ms\": %.2f,\n", mmap_ms);
-  std::fprintf(out, "  \"cold_start_resident_share\": %.3f,\n",
-               resident_share);
-  std::fprintf(out, "  \"cold_start_resident_ceiling\": %.2f,\n",
-               kResidentCeiling);
-  std::fprintf(out, "  \"exactness_mismatches\": %lld,\n",
-               static_cast<long long>(mismatches));
-  std::fprintf(out, "  \"swaps\": %lld,\n", static_cast<long long>(swap_count));
-  std::fprintf(out, "  \"swap_failures\": %lld,\n",
-               static_cast<long long>(swap_failures));
-  std::fprintf(out, "  \"request_failures\": %lld,\n",
-               static_cast<long long>(request_failures));
-  std::fprintf(out, "  \"newest_served_version\": %lld,\n",
-               static_cast<long long>(versions_seen));
-  std::fprintf(out, "  \"share_children\": %zu,\n", shares.size());
-  std::fprintf(out, "  \"share_worst_pss_over_rss\": %.3f\n", worst_share);
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_mmap.json\n");
-  return gates_pass ? 0 : 1;
+  bench::Report report("mmap");
+  report.Set("smoke", smoke)
+      .Set("layers", layers)
+      .Set("hidden", hidden)
+      .Set("container_bytes", emxm_bytes)
+      .Set("cold_start_mmap_ms", mmap_ms, 2)
+      .Set("cold_start_resident_share", resident_share)
+      .Set("cold_start_resident_ceiling", kResidentCeiling, 2)
+      .Set("exactness_mismatches", mismatches)
+      .Set("swaps", swap_count.load())
+      .Set("swap_failures", swap_failures)
+      .Set("request_failures", request_failures)
+      .Set("newest_served_version", versions_seen)
+      .Set("share_children", shares.size())
+      .Set("share_worst_pss_over_rss", worst_share);
+  // A mapping smaps never showed proves nothing about residency.
+  report.Check("resident share after first inference <= 25%",
+               resident_kb > 0 && resident_share <= kResidentCeiling);
+  report.Gate("exactness mismatches", mismatches, "==", 0);
+  report.Check("zero-drop hot-swap", request_failures == 0 &&
+                                         swap_failures == 0 &&
+                                         swap_count >= 2 && versions_seen >= 2);
+  report.Check("pages shared (pss/rss <= 0.7)",
+               shares.size() == 2 && all_resident && worst_share <= 0.7);
+  return report.Finish();
 }

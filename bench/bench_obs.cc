@@ -36,6 +36,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench/report.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -146,8 +147,6 @@ int main(int argc, char** argv) {
 
   const double matmul_off_ns = matmul_off_ms * 1e6;
   const double overhead_pct = 100.0 * span_off_ns / matmul_off_ns;
-  const bool overhead_ok = overhead_pct < 1.0;
-  const bool gates_pass = overhead_ok && trace_ok && metrics_ok;
 
   std::printf("bench_obs — emx::obs overhead%s\n\n", smoke ? " (--smoke)" : "");
   std::printf("  disabled span site        %8.2f ns\n", span_off_ns);
@@ -162,29 +161,19 @@ int main(int argc, char** argv) {
   std::printf("  trace events exported     %8lld (dropped %lld)\n",
               static_cast<long long>(obs::TraceEventCount()),
               static_cast<long long>(obs::TraceDroppedCount()));
-  std::printf(
-      "\ngates: disabled overhead < 1%% %s, trace strict-parses %s, "
-      "metrics strict-parse %s — %s\n",
-      overhead_ok ? "PASS" : "FAIL", trace_ok ? "PASS" : "FAIL",
-      metrics_ok ? "PASS" : "FAIL", gates_pass ? "PASS" : "FAIL");
 
-  FILE* out = std::fopen("BENCH_obs.json", "w");
-  if (out == nullptr) {
-    std::printf("error: cannot write BENCH_obs.json\n");
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"smoke\": %s,\n  \"gates_pass\": %s,\n"
-               "  \"span_disabled_ns\": %.3f,\n  \"span_enabled_ns\": %.3f,\n"
-               "  \"matmul_off_ms\": %.4f,\n  \"matmul_traced_ms\": %.4f,\n"
-               "  \"disabled_overhead_pct\": %.6f,\n"
-               "  \"trace_events\": %lld,\n  \"trace_valid\": %s,\n"
-               "  \"metrics_valid\": %s\n}\n",
-               smoke ? "true" : "false", gates_pass ? "true" : "false",
-               span_off_ns, span_on_ns, matmul_off_ms, matmul_on_ms,
-               overhead_pct, static_cast<long long>(span_events),
-               trace_ok ? "true" : "false", metrics_ok ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote BENCH_obs.json\n");
-  return gates_pass ? 0 : 1;
+  bench::Report report("obs");
+  report.Set("smoke", smoke)
+      .Set("span_disabled_ns", span_off_ns)
+      .Set("span_enabled_ns", span_on_ns)
+      .Set("matmul_off_ms", matmul_off_ms, 4)
+      .Set("matmul_traced_ms", matmul_on_ms, 4)
+      .Set("disabled_overhead_pct", overhead_pct, 6)
+      .Set("trace_events", span_events)
+      .Set("trace_valid", trace_ok)
+      .Set("metrics_valid", metrics_ok);
+  report.Gate("disabled overhead %", overhead_pct, "<", 1.0);
+  report.Check("trace strict-parses", trace_ok);
+  report.Check("metrics strict-parse", metrics_ok);
+  return report.Finish();
 }

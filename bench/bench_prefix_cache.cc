@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/report.h"
 #include "core/entity_matcher.h"
 #include "data/generators.h"
 #include "models/classifier.h"
@@ -234,14 +235,6 @@ int64_t CountK0Mismatches(core::EntityMatcher* matcher,
 
 // ---- Section 3: accuracy ladder --------------------------------------------
 
-struct AccuracyPoint {
-  int64_t split_layer = 0;
-  double f1_full = 0;
-  double f1_split = 0;
-  double delta_f1_points = 0;
-  double mean_abs_dprob = 0;
-};
-
 double F1Score(const std::vector<int64_t>& preds,
                const std::vector<int64_t>& labels) {
   int64_t tp = 0, fp = 0, fn = 0;
@@ -360,6 +353,7 @@ int main(int argc, char** argv) {
   std::printf("%-12s %12.1f %8.2fx %9s %11s %10s\n", "off (full)",
               baseline.pairs_per_sec, 1.0, "-", "-", "-");
   double best_speedup = 0;
+  std::vector<bench::JsonObject> ladder_rows;
   for (const LadderPoint& p : ladder) {
     std::printf("%-12lld %12.1f %8.2fx %8.1f%% %11lld %10lld\n",
                 static_cast<long long>(p.split_layer), p.pairs_per_sec,
@@ -367,8 +361,14 @@ int main(int argc, char** argv) {
                 static_cast<long long>(p.prefix_evictions),
                 static_cast<long long>(p.prefix_bytes));
     best_speedup = std::max(best_speedup, p.speedup);
+    ladder_rows.push_back(bench::JsonObject()
+                              .Set("split_layer", p.split_layer)
+                              .Set("pairs_per_sec", p.pairs_per_sec, 1)
+                              .Set("speedup", p.speedup)
+                              .Set("prefix_hit_rate", p.prefix_hit_rate, 4)
+                              .Set("prefix_evictions", p.prefix_evictions)
+                              .Set("prefix_bytes", p.prefix_bytes));
   }
-  const bool throughput_pass = best_speedup >= speedup_gate;
 
   // ---- Section 2: k = 0 exactness (fp32 and int8) on the zoo matcher.
   auto bundle = pretrain::GetPretrained(models::Architecture::kBert, zoo);
@@ -404,9 +404,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(int8_mismatches));
 
   // ---- Section 3: accuracy ladder on a fine-tuned scaled BERT.
-  std::vector<AccuracyPoint> accuracy;
+  std::vector<bench::JsonObject> accuracy_rows;
   int64_t shipped_default = 0;
-  bool accuracy_pass = true;
+  double shipped_delta_f1 = 0;
   if (!smoke) {
     const data::DatasetId id = data::DatasetId::kWalmartAmazon;
     data::GeneratorOptions gen;
@@ -457,86 +457,53 @@ int main(int argc, char** argv) {
         split_preds.push_back(split_probs[i] >= 0.5 ? 1 : 0);
         dp += std::fabs(split_probs[i] - full_probs[i]);
       }
-      AccuracyPoint point;
-      point.split_layer = k;
-      point.f1_full = f1_full;
-      point.f1_split = F1Score(split_preds, labels);
-      point.delta_f1_points = std::fabs(point.f1_split - f1_full) * 100.0;
-      point.mean_abs_dprob =
+      const double f1_split = F1Score(split_preds, labels);
+      const double delta_f1_points = std::fabs(f1_split - f1_full) * 100.0;
+      const double mean_abs_dprob =
           split_probs.empty() ? 0 : dp / static_cast<double>(
                                              split_probs.size());
-      accuracy.push_back(point);
       std::printf("%-12lld %9.4f %9.4f %8.2f %10.5f\n",
-                  static_cast<long long>(k), point.f1_full, point.f1_split,
-                  point.delta_f1_points, point.mean_abs_dprob);
-      if (k == shipped_default && point.delta_f1_points > 0.1) {
-        accuracy_pass = false;
-      }
+                  static_cast<long long>(k), f1_full, f1_split,
+                  delta_f1_points, mean_abs_dprob);
+      accuracy_rows.push_back(bench::JsonObject()
+                                  .Set("split_layer", k)
+                                  .Set("f1_full", f1_full, 4)
+                                  .Set("f1_split", f1_split, 4)
+                                  .Set("delta_f1_points", delta_f1_points)
+                                  .Set("mean_abs_dprob", mean_abs_dprob, 5));
+      if (k == shipped_default) shipped_delta_f1 = delta_f1_points;
     }
   } else {
     std::printf("accuracy ladder skipped in --smoke (k=0 exactness above "
                 "covers the shipped-exact configuration)\n");
   }
 
-  const bool all_pass = throughput_pass && exact_pass && accuracy_pass;
-  std::printf("\ngates: best speedup %.2fx >= %.1fx: %s | k=0 bit-identical "
-              "fp32+int8: %s | |dF1| <= 0.1 pt at split_layer=%lld: %s\n",
-              best_speedup, speedup_gate, throughput_pass ? "PASS" : "FAIL",
-              exact_pass ? "PASS" : "FAIL",
-              static_cast<long long>(shipped_default),
-              accuracy_pass ? (smoke ? "SKIPPED" : "PASS") : "FAIL");
-
-  FILE* out = std::fopen("BENCH_prefix_cache.json", "w");
-  if (out == nullptr) {
-    std::printf("error: cannot write BENCH_prefix_cache.json\n");
-    return 1;
+  bench::Report report("prefix_cache");
+  report.Set("smoke", smoke)
+      .Set("throughput", bench::JsonObject()
+                             .Set("layers", layers)
+                             .Set("hidden", hidden)
+                             .Set("requests", requests)
+                             .Set("catalog", catalog_size)
+                             .Set("baseline_pairs_per_sec",
+                                  baseline.pairs_per_sec, 1)
+                             .Set("best_speedup", best_speedup)
+                             .Set("speedup_gate", speedup_gate, 1)
+                             .Set("ladder", ladder_rows))
+      .Set("exactness", bench::JsonObject()
+                            .Set("fp32_mismatches", fp32_mismatches)
+                            .Set("int8_mismatches", int8_mismatches))
+      .Set("accuracy", bench::JsonObject()
+                           .Set("shipped_split_layer", shipped_default)
+                           .Set("ladder", accuracy_rows));
+  report.Gate("best speedup", best_speedup, ">=", speedup_gate);
+  report.Check("k=0 bit-identical fp32+int8", exact_pass);
+  if (smoke) {
+    report.Skip("|dF1| at the shipped split layer",
+                "no fine-tune in --smoke; k=0 exactness stands in");
+  } else {
+    report.Gate("|dF1| at the shipped split layer", shipped_delta_f1, "<=",
+                0.1);
   }
-  std::fprintf(out, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out, "  \"gates_pass\": %s,\n", all_pass ? "true" : "false");
-  std::fprintf(out,
-               "  \"throughput\": {\n"
-               "    \"layers\": %lld, \"hidden\": %lld, \"requests\": %lld, "
-               "\"catalog\": %lld,\n"
-               "    \"baseline_pairs_per_sec\": %.1f, "
-               "\"best_speedup\": %.3f, \"speedup_gate\": %.1f,\n"
-               "    \"ladder\": [\n",
-               static_cast<long long>(layers), static_cast<long long>(hidden),
-               static_cast<long long>(requests),
-               static_cast<long long>(catalog_size), baseline.pairs_per_sec,
-               best_speedup, speedup_gate);
-  for (size_t i = 0; i < ladder.size(); ++i) {
-    const LadderPoint& p = ladder[i];
-    std::fprintf(out,
-                 "      {\"split_layer\": %lld, \"pairs_per_sec\": %.1f, "
-                 "\"speedup\": %.3f, \"prefix_hit_rate\": %.4f, "
-                 "\"prefix_evictions\": %lld, \"prefix_bytes\": %lld}%s\n",
-                 static_cast<long long>(p.split_layer), p.pairs_per_sec,
-                 p.speedup, p.prefix_hit_rate,
-                 static_cast<long long>(p.prefix_evictions),
-                 static_cast<long long>(p.prefix_bytes),
-                 i + 1 < ladder.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]\n  },\n");
-  std::fprintf(out,
-               "  \"exactness\": {\"fp32_mismatches\": %lld, "
-               "\"int8_mismatches\": %lld},\n",
-               static_cast<long long>(fp32_mismatches),
-               static_cast<long long>(int8_mismatches));
-  std::fprintf(out, "  \"accuracy\": {\"shipped_split_layer\": %lld, "
-               "\"ladder\": [\n",
-               static_cast<long long>(shipped_default));
-  for (size_t i = 0; i < accuracy.size(); ++i) {
-    const AccuracyPoint& p = accuracy[i];
-    std::fprintf(out,
-                 "    {\"split_layer\": %lld, \"f1_full\": %.4f, "
-                 "\"f1_split\": %.4f, \"delta_f1_points\": %.3f, "
-                 "\"mean_abs_dprob\": %.5f}%s\n",
-                 static_cast<long long>(p.split_layer), p.f1_full, p.f1_split,
-                 p.delta_f1_points, p.mean_abs_dprob,
-                 i + 1 < accuracy.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]}\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_prefix_cache.json\n");
-  return all_pass ? 0 : 1;
+  return report.Finish();
 }

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/report.h"
 #include "core/entity_matcher.h"
 #include "data/generators.h"
 #include "nn/layers.h"
@@ -273,7 +274,9 @@ int main() {
               "dataset", "F1 fp32", "F1 int8", "dF1 pt", "mean|dp|",
               "fp32 pair/s", "int8 pair/s", "speedup", "int8 p50",
               "int8 p95");
-  bool all_pass = true;
+  bench::Report report("quant");
+  report.Set("vnni_kernel", quant::HasVnniKernel());
+  std::vector<bench::JsonObject> dataset_rows;
   for (const DatasetRow& r : rows) {
     std::printf(
         "%-16s %9.4f %9.4f %7.2f %8.4f | %12.1f %12.1f %6.2fx | %7.0fus "
@@ -281,46 +284,28 @@ int main() {
         r.name.c_str(), r.fp32.f1, r.int8.f1, r.delta_f1_points,
         r.mean_abs_dprob, r.fp32.batched_pairs_per_sec,
         r.int8.batched_pairs_per_sec, r.speedup, r.int8.p50_us, r.int8.p95_us);
-    if (r.delta_f1_points > 0.5 || r.speedup < 2.0) all_pass = false;
+    dataset_rows.push_back(
+        bench::JsonObject()
+            .Set("name", r.name)
+            .Set("f1_fp32", r.fp32.f1, 4)
+            .Set("f1_int8", r.int8.f1, 4)
+            .Set("delta_f1_points", r.delta_f1_points)
+            .Set("mean_abs_dprob", r.mean_abs_dprob, 5)
+            .Set("max_abs_dprob", r.max_abs_dprob, 5)
+            .Set("fp32_pairs_per_sec", r.fp32.batched_pairs_per_sec, 1)
+            .Set("int8_pairs_per_sec", r.int8.batched_pairs_per_sec, 1)
+            .Set("speedup", r.speedup)
+            .Set("fp32_engine_pairs_per_sec", r.fp32.engine_pairs_per_sec, 1)
+            .Set("int8_engine_pairs_per_sec", r.int8.engine_pairs_per_sec, 1)
+            .Set("fp32_p50_us", r.fp32.p50_us, 1)
+            .Set("fp32_p95_us", r.fp32.p95_us, 1)
+            .Set("int8_p50_us", r.int8.p50_us, 1)
+            .Set("int8_p95_us", r.int8.p95_us, 1)
+            .Set("num_linears", r.num_linears)
+            .Set("num_ffns", r.num_ffns));
+    report.Gate(r.name + " |dF1| points", r.delta_f1_points, "<=", 0.5);
+    report.Gate(r.name + " int8 speedup", r.speedup, ">=", 2.0);
   }
-  std::printf("\ngates: speedup >= 2.0x and |dF1| <= 0.5 points on every "
-              "dataset — %s\n",
-              all_pass ? "PASS" : "FAIL");
-
-  FILE* out = std::fopen("BENCH_quant.json", "w");
-  if (out == nullptr) {
-    std::printf("error: cannot write BENCH_quant.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"vnni_kernel\": %s,\n",
-               quant::HasVnniKernel() ? "true" : "false");
-  std::fprintf(out, "  \"gates_pass\": %s,\n", all_pass ? "true" : "false");
-  std::fprintf(out, "  \"datasets\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const DatasetRow& r = rows[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"%s\", \"f1_fp32\": %.4f, \"f1_int8\": %.4f, "
-        "\"delta_f1_points\": %.3f, "
-        "\"mean_abs_dprob\": %.5f, \"max_abs_dprob\": %.5f, "
-        "\"fp32_pairs_per_sec\": %.1f, \"int8_pairs_per_sec\": %.1f, "
-        "\"speedup\": %.3f, "
-        "\"fp32_engine_pairs_per_sec\": %.1f, "
-        "\"int8_engine_pairs_per_sec\": %.1f, "
-        "\"fp32_p50_us\": %.1f, \"fp32_p95_us\": %.1f, "
-        "\"int8_p50_us\": %.1f, \"int8_p95_us\": %.1f, "
-        "\"num_linears\": %lld, \"num_ffns\": %lld}%s\n",
-        r.name.c_str(), r.fp32.f1, r.int8.f1, r.delta_f1_points,
-        r.mean_abs_dprob, r.max_abs_dprob,
-        r.fp32.batched_pairs_per_sec, r.int8.batched_pairs_per_sec, r.speedup,
-        r.fp32.engine_pairs_per_sec, r.int8.engine_pairs_per_sec,
-        r.fp32.p50_us, r.fp32.p95_us, r.int8.p50_us, r.int8.p95_us,
-        static_cast<long long>(r.num_linears),
-        static_cast<long long>(r.num_ffns),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_quant.json\n");
-  return all_pass ? 0 : 1;
+  report.Set("datasets", dataset_rows);
+  return report.Finish();
 }

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/report.h"
 #include "core/entity_matcher.h"
 #include "data/generators.h"
 #include "obs/metrics.h"
@@ -214,53 +215,29 @@ int main(int argc, char** argv) {
               retrieve_mean_us, rerank_mean_us,
               static_cast<long long>(e2e_errors));
 
-  // ---- Gates ---------------------------------------------------------------
-  const double qps_floor = smoke ? 5.0 : 50.0;
-  const bool recall_ok = recall >= 0.95;
-  const bool qps_ok = e2e_qps >= qps_floor;
-  const bool gates_pass = recall_ok && save_load_ok && qps_ok;
-  std::printf("\ngates: recall@%lld >= 0.95 %s, save/load bit-identical %s, "
-              "e2e >= %.0f qps %s — %s\n",
-              static_cast<long long>(retrieve_k), recall_ok ? "PASS" : "FAIL",
-              save_load_ok ? "PASS" : "FAIL", qps_floor,
-              qps_ok ? "PASS" : "FAIL", gates_pass ? "PASS" : "FAIL");
-
-  FILE* out = std::fopen("BENCH_retrieval.json", "w");
-  if (out == nullptr) {
-    std::printf("error: cannot write BENCH_retrieval.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out, "  \"gates_pass\": %s,\n", gates_pass ? "true" : "false");
-  std::fprintf(out, "  \"num_records\": %lld,\n",
-               static_cast<long long>(num_records));
-  std::fprintf(out, "  \"num_queries\": %lld,\n",
-               static_cast<long long>(num_queries));
-  std::fprintf(out, "  \"retrieve_k\": %lld,\n",
-               static_cast<long long>(retrieve_k));
-  std::fprintf(out, "  \"rerank_k\": %lld,\n",
-               static_cast<long long>(rerank_k));
-  std::fprintf(out, "  \"generate_seconds\": %.2f,\n", gen_s);
-  std::fprintf(out, "  \"ingest_records_per_sec\": %.1f,\n", ingest_rate);
-  std::fprintf(out, "  \"index_features\": %lld,\n",
-               static_cast<long long>(index.num_features()));
-  std::fprintf(out, "  \"index_stop_features\": %lld,\n",
-               static_cast<long long>(index.num_stop_features()));
-  std::fprintf(out, "  \"retrieval_qps\": %.2f,\n", retrieval_qps);
-  std::fprintf(out, "  \"recall_at_k\": %.4f,\n", recall);
-  std::fprintf(out, "  \"save_seconds\": %.2f,\n", save_s);
-  std::fprintf(out, "  \"load_seconds\": %.4f,\n", load_s);
-  std::fprintf(out, "  \"index_file_mb\": %.2f,\n", file_mb);
-  std::fprintf(out, "  \"save_load_bit_identical\": %s,\n",
-               save_load_ok ? "true" : "false");
-  std::fprintf(out, "  \"e2e_qps\": %.2f,\n", e2e_qps);
-  std::fprintf(out, "  \"e2e_recall_top5\": %.4f,\n", e2e_recall);
-  std::fprintf(out, "  \"e2e_errors\": %lld,\n",
-               static_cast<long long>(e2e_errors));
-  std::fprintf(out, "  \"retrieve_mean_us\": %.1f,\n", retrieve_mean_us);
-  std::fprintf(out, "  \"rerank_mean_us\": %.1f\n", rerank_mean_us);
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_retrieval.json\n");
-  return gates_pass ? 0 : 1;
+  bench::Report report("retrieval");
+  report.Set("smoke", smoke)
+      .Set("num_records", num_records)
+      .Set("num_queries", num_queries)
+      .Set("retrieve_k", retrieve_k)
+      .Set("rerank_k", rerank_k)
+      .Set("generate_seconds", gen_s, 2)
+      .Set("ingest_records_per_sec", ingest_rate, 1)
+      .Set("index_features", index.num_features())
+      .Set("index_stop_features", index.num_stop_features())
+      .Set("retrieval_qps", retrieval_qps, 2)
+      .Set("recall_at_k", recall, 4)
+      .Set("save_seconds", save_s, 2)
+      .Set("load_seconds", load_s, 4)
+      .Set("index_file_mb", file_mb, 2)
+      .Set("save_load_bit_identical", save_load_ok)
+      .Set("e2e_qps", e2e_qps, 2)
+      .Set("e2e_recall_top5", e2e_recall, 4)
+      .Set("e2e_errors", e2e_errors)
+      .Set("retrieve_mean_us", retrieve_mean_us, 1)
+      .Set("rerank_mean_us", rerank_mean_us, 1);
+  report.Gate("recall@k", recall, ">=", 0.95);
+  report.Check("save/load bit-identical", save_load_ok);
+  report.Gate("e2e qps", e2e_qps, ">=", smoke ? 5.0 : 50.0);
+  return report.Finish();
 }
