@@ -1,5 +1,6 @@
 #include "pretrain/model_zoo.h"
 
+#include <bit>
 #include <filesystem>
 
 #include "tokenizers/byte_bpe.h"
@@ -43,6 +44,48 @@ Status EnsureCacheDir(const std::string& dir) {
 }
 
 }  // namespace
+
+std::string PretrainedModelPath(models::Architecture arch,
+                                const ZooOptions& options,
+                                const models::TransformerConfig& config) {
+  // FNV-1a over every value that changes the pre-trained weights; floats
+  // by their bits, so two options that print alike still differ.
+  uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((v >> (8 * byte)) & 0xFF)) * 1099511628211ull;
+    }
+  };
+  const auto mix_f = [&mix](float v) { mix(std::bit_cast<uint32_t>(v)); };
+  const auto mix_d = [&mix](double v) { mix(std::bit_cast<uint64_t>(v)); };
+  const PretrainOptions& p = options.pretrain;
+  mix(static_cast<uint64_t>(config.hidden));
+  mix(static_cast<uint64_t>(config.num_layers));
+  mix(static_cast<uint64_t>(config.max_seq_len));
+  mix(static_cast<uint64_t>(p.steps));
+  mix(static_cast<uint64_t>(p.batch_size));
+  mix_f(p.learning_rate);
+  mix(static_cast<uint64_t>(p.warmup_steps));
+  mix(static_cast<uint64_t>(p.data.max_seq_len));
+  mix_d(p.data.mask_prob);
+  mix_d(p.data.mask_token_prob);
+  mix_d(p.data.random_token_prob);
+  mix(p.data.seed);
+  mix_f(p.distill_soft_weight);
+  mix_f(p.distill_mlm_weight);
+  mix_f(p.distill_cosine_weight);
+  mix_f(p.distill_temperature);
+  mix_f(p.pair_task_weight);
+  mix(p.seed);
+  return StrFormat("%s_%s_h%lld_l%lld_t%lld_len%lld_%016llx.emxm",
+                   CachePrefix(options, arch).c_str(),
+                   models::ArchitectureName(arch),
+                   static_cast<long long>(config.hidden),
+                   static_cast<long long>(config.num_layers),
+                   static_cast<long long>(p.steps),
+                   static_cast<long long>(p.data.max_seq_len),
+                   static_cast<unsigned long long>(h));
+}
 
 Result<std::unique_ptr<tokenizers::Tokenizer>> GetTokenizer(
     models::Architecture arch, const ZooOptions& options) {
@@ -108,12 +151,7 @@ Result<PretrainedBundle> GetPretrained(models::Architecture arch,
   Rng init_rng(options.pretrain.seed ^ static_cast<uint64_t>(arch));
   auto model = models::CreateTransformer(config, &init_rng);
 
-  const std::string model_path = StrFormat(
-      "%s_%s_h%lld_l%lld_t%lld_p%d.emxm", CachePrefix(options, arch).c_str(),
-      models::ArchitectureName(arch), static_cast<long long>(config.hidden),
-      static_cast<long long>(config.num_layers),
-      static_cast<long long>(options.pretrain.steps),
-      static_cast<int>(options.pretrain.pair_task_weight * 10));
+  const std::string model_path = PretrainedModelPath(arch, options, config);
 
   if (options.skip_pretraining) {
     return PretrainedBundle{std::move(model), std::move(tokenizer)};

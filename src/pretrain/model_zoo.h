@@ -43,6 +43,17 @@ struct ZooOptions {
 Result<PretrainedBundle> GetPretrained(models::Architecture arch,
                                        const ZooOptions& options);
 
+/// The cache file GetPretrained keeps the `arch` model in, for a model of
+/// shape `config` pre-trained under `options`. The name covers the
+/// tokenizer and corpus (vocabulary size, document count, corpus seed) and
+/// every pre-training option that changes the weights — the model shape,
+/// steps, batch size, learning rate, warm-up, LM data options, distillation
+/// weights, pair-task weight and seed — so changing any of them trains a
+/// new checkpoint rather than loading one made under other options.
+std::string PretrainedModelPath(models::Architecture arch,
+                                const ZooOptions& options,
+                                const models::TransformerConfig& config);
+
 /// Trains (or loads from cache) only the tokenizer for an architecture.
 Result<std::unique_ptr<tokenizers::Tokenizer>> GetTokenizer(
     models::Architecture arch, const ZooOptions& options);

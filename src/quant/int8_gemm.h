@@ -1,6 +1,8 @@
 #ifndef EMX_QUANT_INT8_GEMM_H_
 #define EMX_QUANT_INT8_GEMM_H_
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -51,6 +53,7 @@ struct PackedWeights {
   std::vector<float> w_scales;     // [out]; per-channel symmetric scales
   std::vector<float> bias;         // [out]; fp32 bias, applied in epilogue
   std::vector<float> fused_scale;  // [out]; act.scale * w_scales[j]
+  std::vector<int32_t> zp_col_sums;  // [out]; act.zero_point * col_sums[j]
   QuantParams act;                 // input-activation grid (u8 affine)
 
   const int8_t* packed_data() const {
@@ -79,37 +82,87 @@ Result<PackedWeights> ViewPackedWeights(int64_t in, int64_t out,
                                         std::vector<int32_t> col_sums,
                                         const QuantParams& act);
 
+/// The u8 code of an already-scaled value: clamp(round(x) + zero_point,
+/// 0, 255), rounding half to even (std::nearbyint in the default rounding
+/// mode). NaN maps to code 0 — a NaN cast to an integer is undefined, and
+/// the vector kernels give 0 too.
+inline uint8_t QuantizeCode(float scaled, float zero_point) {
+  const float code = std::nearbyint(scaled) + zero_point;
+  if (!(code > 0.0f)) return 0;
+  return code >= 255.0f ? 255 : static_cast<uint8_t>(code);
+}
+
+// The stages below run in AVX-512 when the build targets it and in plain
+// scalar loops otherwise; which one is a build-arch question, as for the
+// GEMM kernel. The vector stages do the scalar float operations in the same
+// order, and the epilogue's multiply-add goes through ops::MulAdd (one
+// rounding with FMA, two without) on both sides rather than being left to
+// the compiler's contraction, so both produce the same bits. Each
+// `...Scalar` function is the reference the tests pin the vector stage
+// against.
+
 /// Quantizes a row-major fp32 matrix [m, k] to u8 rows padded to
-/// k_padded: q = clamp(round(x/scale) + zero_point, 0, 255). Padding
-/// bytes are zero_point (they meet zero weight rows, so any value works).
+/// k_padded: q = QuantizeCode(x * (1/scale), zero_point). Padding bytes are
+/// zero_point (they meet zero weight rows, so any value works).
 void QuantizeActivations(const float* x, int64_t m, int64_t k,
                          int64_t k_padded, const QuantParams& p, uint8_t* qa);
+void QuantizeActivationsScalar(const float* x, int64_t m, int64_t k,
+                               int64_t k_padded, const QuantParams& p,
+                               uint8_t* qa);
 
-/// acc[m, n_padded] (int32, row-major) = qa[m, k_padded] (u8) x packed
-/// weights. Integer accumulation is exact, so the AVX-512 VNNI kernel and
-/// the portable scalar fallback produce identical accumulators; which one
-/// runs is a pure build-arch question. Parallelized over row blocks with
-/// the same ParallelFor/grain discipline as the fp32 GEMM.
-void Int8GemmAccumulate(const uint8_t* qa, int64_t m, const PackedWeights& w,
-                        int32_t* acc);
-
-/// Reference row range used by tests to pin the vectorized kernel:
-/// computes rows [i0, i1) of the accumulator with plain scalar loops.
+/// acc rows [i0, i1) (int32, row-major, n_padded wide) = qa rows (u8,
+/// k_padded wide) x packed weights, with the build's kernel. Integer
+/// accumulation is exact, so the AVX-512 VNNI kernel and the portable
+/// scalar reference produce identical accumulators. The VNNI kernel runs
+/// 4 rows x 4 column tiles (16 independent vpdpbusd chains, each weight row
+/// loaded once per k-group for 4 activation broadcasts) over the packed
+/// layout above; the 4 x 1-tile and 1-row shapes of the same kernel take
+/// the column and row tails.
+void Int8GemmRowRange(const uint8_t* qa, int64_t i0, int64_t i1,
+                      const PackedWeights& w, int32_t* acc);
 void Int8GemmRowRangeScalar(const uint8_t* qa, int64_t i0, int64_t i1,
                             const PackedWeights& w, int32_t* acc);
 
-/// y[m, out] fp32 from the raw accumulators:
-///   y[i][j] = fused_scale[j] * (acc[i][j] - zp_a * col_sums[j]) + bias[j]
+/// y[m, out] fp32 from the raw accumulators [m, n_padded]:
+///   y[i][j] = MulAdd(fused_scale[j], acc[i][j] - zp_col_sums[j], bias[j])
 /// The zp_a * col_sums term folds the activation zero-point out of the
-/// unsigned accumulation, making the affine u8 grid exact. Scalar by
-/// design: it is O(m*out) against the kernel's O(m*k*out), and one code
-/// path keeps results bit-identical across builds.
+/// unsigned accumulation, making the affine u8 grid exact.
 void DequantEpilogue(const int32_t* acc, int64_t m, const PackedWeights& w,
                      float* y);
+void DequantEpilogueScalar(const int32_t* acc, int64_t m,
+                           const PackedWeights& w, float* y);
 
-/// Convenience: quantize + GEMM + epilogue, x [m, in] -> y [m, out].
+/// The fused FFN's middle stage: each of fc1's dequantized outputs
+/// (DequantEpilogue's value v) is requantized onto the pre-activation grid
+/// `mid` and mapped through the 256-entry activation LUT,
+///   q[i][j] = lut[QuantizeCode(v * (1/mid.scale), mid.zero_point)],
+/// for j < w.out; q rows are `ld_q` wide and columns [w.out, ld_q) get
+/// `pad`. The AVX-512 path looks up 64 codes at once with two vpermi2b
+/// (one per 128-entry half of the table) and a blend on bit 7 of the code
+/// when the build has AVX-512 VBMI, and reads the table per byte otherwise.
+void RequantizeLut(const int32_t* acc, int64_t m, const PackedWeights& w,
+                   const QuantParams& mid,
+                   const std::array<uint8_t, 256>& lut, int64_t ld_q,
+                   uint8_t pad, uint8_t* q);
+void RequantizeLutScalar(const int32_t* acc, int64_t m, const PackedWeights& w,
+                         const QuantParams& mid,
+                         const std::array<uint8_t, 256>& lut, int64_t ld_q,
+                         uint8_t pad, uint8_t* q);
+
+/// Quantize + GEMM + epilogue, x [m, in] -> y [m, out]. The stages run
+/// fused per block of rows, so each block's codes and accumulators are
+/// still in cache when the next stage reads them, and one ParallelFor
+/// spreads the blocks over the global pool.
 void Int8LinearForward(const float* x, int64_t m, const PackedWeights& w,
                        float* y);
+
+/// The whole int8 FFN, x [m, fc1.in] -> y [m, fc2.out]: quantize, fc1 GEMM,
+/// RequantizeLut onto fc2's input grid, fc2 GEMM, DequantEpilogue — fused
+/// per block of rows like Int8LinearForward.
+void Int8FfnForward(const float* x, int64_t m, const PackedWeights& fc1,
+                    const QuantParams& mid,
+                    const std::array<uint8_t, 256>& lut,
+                    const PackedWeights& fc2, float* y);
 
 /// True when this build carries the AVX-512 VNNI kernel (informational;
 /// results are identical either way).

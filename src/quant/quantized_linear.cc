@@ -1,7 +1,5 @@
 #include "quant/quantized_linear.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "obs/trace.h"
@@ -92,11 +90,9 @@ Int8FfnBackend::Int8FfnBackend(PackedWeights fc1, PackedWeights fc2,
   const float inv_out = 1.0f / out.scale;
   for (int32_t q = 0; q < 256; ++q) {
     const float v = mid_in_.scale * static_cast<float>(q - mid_in_.zero_point);
-    const float f = ActivationScalar(v, activation_);
-    const float code = std::nearbyint(f * inv_out) +
-                       static_cast<float>(out.zero_point);
     lut_[static_cast<size_t>(q)] =
-        static_cast<uint8_t>(std::clamp(code, 0.0f, 255.0f));
+        QuantizeCode(ActivationScalar(v, activation_) * inv_out,
+                     static_cast<float>(out.zero_point));
   }
 }
 
@@ -109,47 +105,8 @@ Tensor Int8FfnBackend::Forward(const Tensor& x2d) const {
         {{"m", m}, {"hidden", fc1_.in}, {"ffn", fc1_.out}});
   });
 
-  // Same thread-local scratch discipline as Int8LinearForward: the fc1
-  // accumulator alone is ~1MB at serving batch sizes, so per-call vectors
-  // would pay an mmap + kernel zero-fill on every forward.
-  thread_local std::vector<uint8_t> qa;
-  thread_local std::vector<int32_t> acc;
-  qa.resize(static_cast<size_t>(m * fc1_.k_padded));
-  acc.resize(static_cast<size_t>(m * fc1_.n_padded));
-  QuantizeActivations(x2d.data(), m, fc1_.in, fc1_.k_padded, fc1_.act,
-                      qa.data());
-  Int8GemmAccumulate(qa.data(), m, fc1_, acc.data());
-
-  // Fused epilogue: dequantize fc1, requantize onto the pre-activation
-  // grid, and look the activation up — the intermediate never exists in
-  // fp32, and no transcendental runs per element.
-  thread_local std::vector<uint8_t> qh;
-  qh.resize(static_cast<size_t>(m * fc2_.k_padded));
-  const int32_t zp1 = fc1_.act.zero_point;
-  const float inv_mid = 1.0f / mid_in_.scale;
-  const float mid_zp = static_cast<float>(mid_in_.zero_point);
-  const uint8_t pad = static_cast<uint8_t>(fc2_.act.zero_point);
-  for (int64_t i = 0; i < m; ++i) {
-    const int32_t* acc_row = acc.data() + i * fc1_.n_padded;
-    uint8_t* q_row = qh.data() + i * fc2_.k_padded;
-    for (int64_t j = 0; j < fc1_.out; ++j) {
-      const int32_t centered =
-          acc_row[j] - zp1 * fc1_.col_sums[static_cast<size_t>(j)];
-      const float v = fc1_.fused_scale[static_cast<size_t>(j)] *
-                          static_cast<float>(centered) +
-                      fc1_.bias[static_cast<size_t>(j)];
-      const float code = std::nearbyint(v * inv_mid) + mid_zp;
-      q_row[j] = lut_[static_cast<size_t>(
-          static_cast<uint8_t>(std::clamp(code, 0.0f, 255.0f)))];
-    }
-    for (int64_t j = fc1_.out; j < fc2_.k_padded; ++j) q_row[j] = pad;
-  }
-
-  thread_local std::vector<int32_t> acc2;
-  acc2.resize(static_cast<size_t>(m * fc2_.n_padded));
-  Int8GemmAccumulate(qh.data(), m, fc2_, acc2.data());
   Tensor y({m, fc2_.out});
-  DequantEpilogue(acc2.data(), m, fc2_, y.data());
+  Int8FfnForward(x2d.data(), m, fc1_, mid_in_, lut_, fc2_, y.data());
   return y;
 }
 

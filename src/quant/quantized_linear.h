@@ -82,6 +82,8 @@ class Int8FfnBackend : public nn::FeedForwardBackend {
   const PackedWeights& fc2() const { return fc2_; }
   QuantParams mid_in() const { return mid_in_; }
   nn::Activation activation() const { return activation_; }
+  /// Pre-activation code -> activated code on fc2's input grid.
+  const std::array<uint8_t, 256>& lut() const { return lut_; }
 
  private:
   PackedWeights fc1_;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "io/emxm.h"
 #include "models/encoder.h"
@@ -425,6 +428,87 @@ TEST(ModelZooTest, PretrainedModelIsCached) {
         << p1[i].name;
   }
   std::filesystem::remove_all(zoo.cache_dir);
+}
+
+TEST(ModelZooTest, ModelPathCoversEveryWeightOption) {
+  // Every option that changes the pre-trained weights must change the
+  // cache file name; a pre-training run under other options must never
+  // load the checkpoint of this one.
+  const ZooOptions base;
+  const auto config_for = [](const ZooOptions& zoo) {
+    models::TransformerConfig config =
+        models::TransformerConfig::Scaled(models::Architecture::kBert, 300);
+    config.max_seq_len =
+        std::max<int64_t>(config.max_seq_len, zoo.pretrain.data.max_seq_len);
+    return config;
+  };
+  const auto path = [&config_for](const ZooOptions& zoo) {
+    return PretrainedModelPath(models::Architecture::kBert, zoo,
+                               config_for(zoo));
+  };
+  const std::string base_path = path(base);
+  EXPECT_EQ(path(base), base_path);
+  EXPECT_NE(PretrainedModelPath(models::Architecture::kRoberta, base,
+                                config_for(base)),
+            base_path);
+
+  using Edit = void (*)(ZooOptions*);
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"cache_dir", [](ZooOptions* z) { z->cache_dir += "_other"; }},
+      {"vocab_size", [](ZooOptions* z) { z->vocab_size += 1; }},
+      {"corpus.num_documents",
+       [](ZooOptions* z) { z->corpus.num_documents += 1; }},
+      {"corpus.seed", [](ZooOptions* z) { z->corpus.seed += 1; }},
+      {"steps", [](ZooOptions* z) { z->pretrain.steps += 1; }},
+      {"batch_size", [](ZooOptions* z) { z->pretrain.batch_size += 1; }},
+      {"learning_rate",
+       [](ZooOptions* z) { z->pretrain.learning_rate *= 1.5f; }},
+      {"warmup_steps", [](ZooOptions* z) { z->pretrain.warmup_steps += 1; }},
+      {"data.max_seq_len",
+       [](ZooOptions* z) { z->pretrain.data.max_seq_len = 64; }},
+      {"data.mask_prob",
+       [](ZooOptions* z) { z->pretrain.data.mask_prob = 0.2; }},
+      {"data.mask_token_prob",
+       [](ZooOptions* z) { z->pretrain.data.mask_token_prob = 0.7; }},
+      {"data.random_token_prob",
+       [](ZooOptions* z) { z->pretrain.data.random_token_prob = 0.2; }},
+      {"data.seed", [](ZooOptions* z) { z->pretrain.data.seed += 1; }},
+      {"distill_soft_weight",
+       [](ZooOptions* z) { z->pretrain.distill_soft_weight = 0.5f; }},
+      {"distill_mlm_weight",
+       [](ZooOptions* z) { z->pretrain.distill_mlm_weight = 0.5f; }},
+      {"distill_cosine_weight",
+       [](ZooOptions* z) { z->pretrain.distill_cosine_weight = 1.0f; }},
+      {"distill_temperature",
+       [](ZooOptions* z) { z->pretrain.distill_temperature = 3.0f; }},
+      // 1.0 -> 1.05 printed as a tenth would still read 10.
+      {"pair_task_weight",
+       [](ZooOptions* z) { z->pretrain.pair_task_weight = 1.05f; }},
+      {"seed", [](ZooOptions* z) { z->pretrain.seed += 1; }},
+  };
+
+  std::set<std::string> seen = {base_path};
+  for (const auto& [name, edit] : edits) {
+    ZooOptions zoo;
+    edit(&zoo);
+    const std::string p = path(zoo);
+    EXPECT_NE(p, base_path) << name;
+    EXPECT_TRUE(seen.insert(p).second) << name << " collides: " << p;
+  }
+
+  // A 64-token pre-training never loads the 32-token checkpoint, although
+  // both configs allocate the same position table.
+  ZooOptions len32 = base, len64 = base;
+  len32.pretrain.data.max_seq_len = 32;
+  len64.pretrain.data.max_seq_len = 64;
+  ASSERT_EQ(config_for(len32).max_seq_len, config_for(len64).max_seq_len);
+  EXPECT_NE(path(len32), path(len64));
+
+  // Options that only change logging or caching behaviour keep the name.
+  ZooOptions quiet = base;
+  quiet.pretrain.log_every = 10;
+  quiet.force_retrain = true;
+  EXPECT_EQ(path(quiet), base_path);
 }
 
 TEST(ModelZooTest, SkipPretrainingGivesRandomModel) {

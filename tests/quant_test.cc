@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -137,27 +141,240 @@ TEST(Int8GemmTest, PerChannelScalesBoundQuantizationError) {
 
 // ---- Kernel exactness -------------------------------------------------------
 
+// Ragged shapes for the vector stages: every k and n remainder, row counts
+// off the 4-row unroll and the 16-row block, and widths that reach the
+// 4-tile VNNI blocking (n_padded >= 64) with and without a column tail.
+constexpr int64_t kRaggedMs[] = {1, 3, 5, 64, 1023};
+constexpr int64_t kRaggedIns[] = {37, 64, 256};
+constexpr int64_t kRaggedOuts[] = {2, 33, 64, 200, 256};
+
+/// The activation grid of the ragged tests: narrower than the N(0, 2)
+/// inputs, so codes hit both the 0 and the 255 clamp.
+QuantParams NarrowGrid() { return ChooseQuantParams(-1.5f, 2.0f); }
+
+std::vector<uint32_t> Bits(const std::vector<float>& v) {
+  std::vector<uint32_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+  return bits;
+}
+
+/// Inputs, packed weights, codes and accumulators of one ragged shape.
+struct RaggedCase {
+  RaggedCase(int64_t m_, int64_t in, int64_t out, Rng* rng)
+      : m(m_), x(Tensor::Randn({m_, in}, rng, 2.0f)) {
+    packed = PackWeights(Tensor::Randn({in, out}, rng, 0.1f),
+                         Tensor::Randn({out}, rng, 0.5f), NarrowGrid());
+    qa.resize(static_cast<size_t>(m * packed.k_padded));
+    QuantizeActivationsScalar(x.data(), m, in, packed.k_padded, packed.act,
+                              qa.data());
+    acc.resize(static_cast<size_t>(m * packed.n_padded));
+    Int8GemmRowRangeScalar(qa.data(), 0, m, packed, acc.data());
+  }
+
+  int64_t m;
+  Tensor x;
+  PackedWeights packed;
+  std::vector<uint8_t> qa;
+  std::vector<int32_t> acc;
+};
+
+TEST(Int8GemmTest, QuantizeActivationsMatchesScalarReference) {
+  Rng rng(13);
+  bool saw_zero = false, saw_max = false;
+  for (int64_t m : kRaggedMs) {
+    for (int64_t in : kRaggedIns) {
+      Tensor x = Tensor::Randn({m, in}, &rng, 2.0f);
+      const int64_t k_padded = (in + kKGroup - 1) / kKGroup * kKGroup;
+      std::vector<uint8_t> fast(static_cast<size_t>(m * k_padded), 1);
+      std::vector<uint8_t> ref(static_cast<size_t>(m * k_padded), 2);
+      QuantizeActivations(x.data(), m, in, k_padded, NarrowGrid(),
+                          fast.data());
+      QuantizeActivationsScalar(x.data(), m, in, k_padded, NarrowGrid(),
+                                ref.data());
+      ASSERT_EQ(fast, ref) << "m=" << m << " in=" << in;
+      for (uint8_t q : ref) {
+        saw_zero |= q == 0;
+        saw_max |= q == 255;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_zero);
+  EXPECT_TRUE(saw_max);
+}
+
 TEST(Int8GemmTest, VectorizedKernelMatchesScalarReference) {
   Rng rng(13);
-  // Ragged sizes exercise every padding path (k and n remainders, a row
-  // count that is not a multiple of the VNNI 4-row unroll).
-  const int64_t m = 9, in = 50, out = 33;
-  Tensor x = Tensor::Randn({m, in}, &rng);
-  Tensor w = Tensor::Randn({in, out}, &rng, 0.1f);
-  Tensor b = Tensor::Randn({out}, &rng, 0.05f);
-  QuantParams act = ChooseQuantParams(-4.0f, 4.0f);
-  PackedWeights packed = PackWeights(w, b, act);
+  for (int64_t m : kRaggedMs) {
+    for (int64_t in : kRaggedIns) {
+      for (int64_t out : kRaggedOuts) {
+        RaggedCase c(m, in, out, &rng);
+        std::vector<int32_t> fast(c.acc.size(), -1);
+        Int8GemmRowRange(c.qa.data(), 0, m, c.packed, fast.data());
+        // Integer accumulation is exact: every accumulator must agree,
+        // whichever kernel (VNNI or scalar) the build compiled in.
+        ASSERT_EQ(fast, c.acc) << "m=" << m << " in=" << in << " out=" << out;
+        // A row range that starts off the 4-row unroll writes only its
+        // own rows.
+        if (m >= 5) {
+          std::vector<int32_t> part(c.acc.size(), -1);
+          Int8GemmRowRange(c.qa.data(), 1, m - 1, c.packed, part.data());
+          const size_t n = static_cast<size_t>(c.packed.n_padded);
+          for (size_t i = 0; i < static_cast<size_t>(m); ++i) {
+            const bool inside = i >= 1 && i + 1 < static_cast<size_t>(m);
+            for (size_t j = 0; j < n; ++j) {
+              ASSERT_EQ(part[i * n + j], inside ? c.acc[i * n + j] : -1)
+                  << "m=" << m << " in=" << in << " out=" << out
+                  << " i=" << i << " j=" << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
-  std::vector<uint8_t> qa(static_cast<size_t>(m * packed.k_padded));
-  QuantizeActivations(x.data(), m, in, packed.k_padded, act, qa.data());
+TEST(Int8GemmTest, DequantEpilogueMatchesScalarReference) {
+  Rng rng(19);
+  for (int64_t m : kRaggedMs) {
+    for (int64_t in : kRaggedIns) {
+      for (int64_t out : kRaggedOuts) {
+        RaggedCase c(m, in, out, &rng);
+        std::vector<float> fast(static_cast<size_t>(m * out), -1.0f);
+        std::vector<float> ref(static_cast<size_t>(m * out), -2.0f);
+        DequantEpilogue(c.acc.data(), m, c.packed, fast.data());
+        DequantEpilogueScalar(c.acc.data(), m, c.packed, ref.data());
+        ASSERT_EQ(Bits(fast), Bits(ref))
+            << "m=" << m << " in=" << in << " out=" << out;
+        // The fused, parallel Int8LinearForward is the same three stages.
+        std::vector<float> fused(ref.size(), -3.0f);
+        Int8LinearForward(c.x.data(), m, c.packed, fused.data());
+        ASSERT_EQ(Bits(fused), Bits(ref))
+            << "m=" << m << " in=" << in << " out=" << out;
+      }
+    }
+  }
+}
 
-  std::vector<int32_t> fast(static_cast<size_t>(m * packed.n_padded), -1);
-  std::vector<int32_t> ref(static_cast<size_t>(m * packed.n_padded), -1);
-  Int8GemmAccumulate(qa.data(), m, packed, fast.data());
-  Int8GemmRowRangeScalar(qa.data(), 0, m, packed, ref.data());
-  // Integer accumulation is exact: every accumulator must agree, whichever
-  // kernel (VNNI or scalar) the build dispatched to.
+/// A LUT whose 256 entries are all distinct, so a lookup of the wrong
+/// code can never read the right byte.
+std::array<uint8_t, 256> PermutationLut(Rng* rng) {
+  std::array<uint8_t, 256> lut;
+  for (size_t i = 0; i < lut.size(); ++i) lut[i] = static_cast<uint8_t>(i);
+  for (size_t i = lut.size() - 1; i > 0; --i) {
+    std::swap(lut[i], lut[rng->NextUint64(i + 1)]);
+  }
+  return lut;
+}
+
+TEST(Int8GemmTest, RequantizeLutMatchesScalarReference) {
+  Rng rng(21);
+  const std::array<uint8_t, 256> lut = PermutationLut(&rng);
+  std::array<uint8_t, 256> code_of;  // inverse of lut
+  for (size_t i = 0; i < lut.size(); ++i) {
+    code_of[lut[i]] = static_cast<uint8_t>(i);
+  }
+  bool saw_zero = false, saw_max = false;
+  for (int64_t m : kRaggedMs) {
+    for (int64_t in : kRaggedIns) {
+      for (int64_t out : kRaggedOuts) {
+        RaggedCase c(m, in, out, &rng);
+        // A pre-activation grid over ~60% of the fc1 output's range, so
+        // codes clamp at both ends; rows are 3 bytes wider than `out` to
+        // cover the padding.
+        std::vector<float> y(static_cast<size_t>(m * out));
+        DequantEpilogueScalar(c.acc.data(), m, c.packed, y.data());
+        const auto [lo, hi] = std::minmax_element(y.begin(), y.end());
+        const QuantParams mid = ChooseQuantParams(0.6f * *lo, 0.6f * *hi);
+        const int64_t ld_q = out + 3;
+        std::vector<uint8_t> fast(static_cast<size_t>(m * ld_q), 1);
+        std::vector<uint8_t> ref(static_cast<size_t>(m * ld_q), 2);
+        RequantizeLut(c.acc.data(), m, c.packed, mid, lut, ld_q, 7,
+                      fast.data());
+        RequantizeLutScalar(c.acc.data(), m, c.packed, mid, lut, ld_q, 7,
+                            ref.data());
+        ASSERT_EQ(fast, ref) << "m=" << m << " in=" << in << " out=" << out;
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < ld_q; ++j) {
+            const uint8_t q = ref[static_cast<size_t>(i * ld_q + j)];
+            if (j >= out) {
+              ASSERT_EQ(q, 7);
+              continue;
+            }
+            saw_zero |= code_of[q] == 0;
+            saw_max |= code_of[q] == 255;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_zero);
+  EXPECT_TRUE(saw_max);
+}
+
+TEST(Int8GemmTest, NanQuantizesToCodeZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(QuantizeCode(nan, 128.0f), 0);
+  EXPECT_EQ(QuantizeCode(inf, 0.0f), 255);
+  EXPECT_EQ(QuantizeCode(-inf, 255.0f), 0);
+
+  // 20 values put a NaN in a full vector and in the masked tail.
+  std::vector<float> x(20, 0.25f);
+  x[3] = nan;
+  x[17] = nan;
+  x[5] = inf;
+  x[18] = -inf;
+  const QuantParams grid = ChooseQuantParams(-1.0f, 1.0f);
+  std::vector<uint8_t> fast(x.size()), ref(x.size());
+  QuantizeActivations(x.data(), 1, 20, 20, grid, fast.data());
+  QuantizeActivationsScalar(x.data(), 1, 20, 20, grid, ref.data());
   EXPECT_EQ(fast, ref);
+  EXPECT_EQ(ref[3], 0);
+  EXPECT_EQ(ref[17], 0);
+  EXPECT_EQ(ref[5], 255);
+  EXPECT_EQ(ref[18], 0);
+  EXPECT_NE(ref[0], 0);
+
+  // A NaN fc1 output (here a NaN bias) looks up lut[0] in the requantize
+  // stage.
+  Rng rng(23);
+  PackedWeights w = PackWeights(Tensor::Randn({8, 20}, &rng, 0.1f),
+                                Tensor::Zeros({20}), grid);
+  w.bias[2] = nan;
+  w.bias[19] = nan;
+  std::vector<uint8_t> qa(static_cast<size_t>(w.k_padded), 140);
+  std::vector<int32_t> acc(static_cast<size_t>(w.n_padded));
+  Int8GemmRowRangeScalar(qa.data(), 0, 1, w, acc.data());
+  const std::array<uint8_t, 256> lut = PermutationLut(&rng);
+  std::vector<uint8_t> qf(20), qr(20);
+  RequantizeLut(acc.data(), 1, w, grid, lut, 20, 0, qf.data());
+  RequantizeLutScalar(acc.data(), 1, w, grid, lut, 20, 0, qr.data());
+  EXPECT_EQ(qf, qr);
+  EXPECT_EQ(qr[2], lut[0]);
+  EXPECT_EQ(qr[19], lut[0]);
+}
+
+TEST(Int8GemmTest, ViewPackedWeightsRejectsCorruptEpilogueArrays) {
+  // The mapped load folds zero_point * col_sums in int32; values no
+  // quantizer writes are rejected instead of overflowing.
+  Rng rng(25);
+  PackedWeights good = PackWeights(Tensor::Randn({8, 20}, &rng, 0.1f),
+                                   Tensor::Zeros({20}), NarrowGrid());
+  const auto view = [&good](QuantParams act, std::vector<int32_t> col_sums) {
+    return ViewPackedWeights(
+        good.in, good.out, good.packed_data(),
+        static_cast<uint64_t>(good.data.size()), nullptr, good.w_scales,
+        good.bias, std::move(col_sums), act);
+  };
+  ASSERT_TRUE(view(good.act, good.col_sums).ok());
+  QuantParams bad_zp = good.act;
+  bad_zp.zero_point = 1 << 24;
+  EXPECT_FALSE(view(bad_zp, good.col_sums).ok());
+  bad_zp.zero_point = -1;
+  EXPECT_FALSE(view(bad_zp, good.col_sums).ok());
+  std::vector<int32_t> bad_sums = good.col_sums;
+  bad_sums[7] = 127 * 8 + 1;
+  EXPECT_FALSE(view(good.act, bad_sums).ok());
 }
 
 TEST(Int8GemmTest, EpilogueFoldsZeroPointExactly) {
@@ -301,6 +518,50 @@ TEST(QuantizedFfnTest, FusedPipelineMatchesFp32FfnWithinTolerance) {
   Tensor fp32 = ffn.Forward(Variable::Constant(x), 0.0f, false, &rng).value();
   for (int64_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(fp32[i], ref[i]);
+  }
+}
+
+TEST(QuantizedFfnTest, ForwardMatchesScalarPipeline) {
+  // Int8FfnBackend::Forward (fused per row block, vector stages, VNNI
+  // kernel, pool-parallel) against the scalar reference stages run one
+  // after the other over the whole batch: the same bits.
+  Rng rng(29);
+  for (int64_t m : {1, 5, 1023}) {
+    for (const auto& [hidden, ffn_dim] :
+         {std::pair<int64_t, int64_t>{64, 256}, {37, 200}}) {
+      const QuantParams in_grid = NarrowGrid();
+      const QuantParams mid = ChooseQuantParams(-2.0f, 3.0f);
+      const QuantParams fc2_grid = ChooseQuantParams(-0.2f, 3.0f);
+      Int8FfnBackend backend(
+          PackWeights(Tensor::Randn({hidden, ffn_dim}, &rng, 0.1f),
+                      Tensor::Randn({ffn_dim}, &rng, 0.5f), in_grid),
+          PackWeights(Tensor::Randn({ffn_dim, hidden}, &rng, 0.1f),
+                      Tensor::Randn({hidden}, &rng, 0.5f), fc2_grid),
+          mid, nn::Activation::kGelu);
+      const PackedWeights& fc1 = backend.fc1();
+      const PackedWeights& fc2 = backend.fc2();
+      Tensor x = Tensor::Randn({m, hidden}, &rng, 2.0f);
+
+      std::vector<uint8_t> qa(static_cast<size_t>(m * fc1.k_padded));
+      std::vector<int32_t> acc(static_cast<size_t>(m * fc1.n_padded));
+      std::vector<uint8_t> qh(static_cast<size_t>(m * fc2.k_padded));
+      std::vector<int32_t> acc2(static_cast<size_t>(m * fc2.n_padded));
+      std::vector<float> ref(static_cast<size_t>(m * hidden));
+      QuantizeActivationsScalar(x.data(), m, hidden, fc1.k_padded, fc1.act,
+                                qa.data());
+      Int8GemmRowRangeScalar(qa.data(), 0, m, fc1, acc.data());
+      RequantizeLutScalar(acc.data(), m, fc1, mid, backend.lut(),
+                          fc2.k_padded,
+                          static_cast<uint8_t>(fc2.act.zero_point),
+                          qh.data());
+      Int8GemmRowRangeScalar(qh.data(), 0, m, fc2, acc2.data());
+      DequantEpilogueScalar(acc2.data(), m, fc2, ref.data());
+
+      Tensor got = backend.Forward(x);
+      ASSERT_EQ(got.size(), static_cast<int64_t>(ref.size()));
+      ASSERT_EQ(Bits(got.ToVector()), Bits(ref))
+          << "m=" << m << " hidden=" << hidden << " ffn=" << ffn_dim;
+    }
   }
 }
 
