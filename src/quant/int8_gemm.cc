@@ -218,8 +218,8 @@ void Int8GemmRowRangeScalar(const uint8_t* qa, int64_t i0, int64_t i1,
   }
 }
 
-void DequantEpilogueScalar(const int32_t* acc, int64_t m,
-                           const PackedWeights& w, float* y) {
+void DequantEpilogue(const int32_t* acc, int64_t m, const PackedWeights& w,
+                     float* y) {
   for (int64_t i = 0; i < m; ++i) {
     const int32_t* acc_row = acc + i * w.n_padded;
     float* y_row = y + i * w.out;
@@ -302,18 +302,6 @@ void QuantizeActivations(const float* x, int64_t m, int64_t k,
   }
 }
 
-void DequantEpilogue(const int32_t* acc, int64_t m, const PackedWeights& w,
-                     float* y) {
-  for (int64_t i = 0; i < m; ++i) {
-    const int32_t* acc_row = acc + i * w.n_padded;
-    float* y_row = y + i * w.out;
-    for (int64_t j = 0; j < w.out; j += 16) {
-      const __mmask16 mask = TailMask16(w.out - j);
-      _mm512_mask_storeu_ps(y_row + j, mask, DequantLanes(acc_row, w, j, mask));
-    }
-  }
-}
-
 void RequantizeLut(const int32_t* acc, int64_t m, const PackedWeights& w,
                    const QuantParams& mid,
                    const std::array<uint8_t, 256>& lut, int64_t ld_q,
@@ -374,11 +362,6 @@ void RequantizeLut(const int32_t* acc, int64_t m, const PackedWeights& w,
 void QuantizeActivations(const float* x, int64_t m, int64_t k,
                          int64_t k_padded, const QuantParams& p, uint8_t* qa) {
   QuantizeActivationsScalar(x, m, k, k_padded, p, qa);
-}
-
-void DequantEpilogue(const int32_t* acc, int64_t m, const PackedWeights& w,
-                     float* y) {
-  DequantEpilogueScalar(acc, m, w, y);
 }
 
 void RequantizeLut(const int32_t* acc, int64_t m, const PackedWeights& w,

@@ -141,11 +141,12 @@ TEST(Int8GemmTest, PerChannelScalesBoundQuantizationError) {
 
 // ---- Kernel exactness -------------------------------------------------------
 
-// Ragged shapes for the vector stages: every k and n remainder, row counts
-// off the 4-row unroll and the 16-row block, and widths that reach the
+// Ragged shapes for the vector stages: k remainders 0, 1 and 2 against the
+// 4-byte k-group, n tails of 2, 1 and 8 lanes, row counts off the 4-row
+// unroll and the 16-row block, and widths that reach the
 // 4-tile VNNI blocking (n_padded >= 64) with and without a column tail.
-constexpr int64_t kRaggedMs[] = {1, 3, 5, 64, 1023};
-constexpr int64_t kRaggedIns[] = {37, 64, 256};
+constexpr int64_t kRaggedMs[] = {1, 3, 5, 9, 64, 1023};
+constexpr int64_t kRaggedIns[] = {37, 50, 64, 256};
 constexpr int64_t kRaggedOuts[] = {2, 33, 64, 200, 256};
 
 /// The activation grid of the ragged tests: narrower than the N(0, 2)
@@ -233,19 +234,16 @@ TEST(Int8GemmTest, VectorizedKernelMatchesScalarReference) {
   }
 }
 
-TEST(Int8GemmTest, DequantEpilogueMatchesScalarReference) {
+TEST(Int8GemmTest, Int8LinearForwardMatchesScalarPipeline) {
   Rng rng(19);
   for (int64_t m : kRaggedMs) {
     for (int64_t in : kRaggedIns) {
       for (int64_t out : kRaggedOuts) {
         RaggedCase c(m, in, out, &rng);
-        std::vector<float> fast(static_cast<size_t>(m * out), -1.0f);
         std::vector<float> ref(static_cast<size_t>(m * out), -2.0f);
-        DequantEpilogue(c.acc.data(), m, c.packed, fast.data());
-        DequantEpilogueScalar(c.acc.data(), m, c.packed, ref.data());
-        ASSERT_EQ(Bits(fast), Bits(ref))
-            << "m=" << m << " in=" << in << " out=" << out;
-        // The fused, parallel Int8LinearForward is the same three stages.
+        DequantEpilogue(c.acc.data(), m, c.packed, ref.data());
+        // The fused, parallel Int8LinearForward is the same three stages
+        // as the scalar quantize and GEMM plus the epilogue.
         std::vector<float> fused(ref.size(), -3.0f);
         Int8LinearForward(c.x.data(), m, c.packed, fused.data());
         ASSERT_EQ(Bits(fused), Bits(ref))
@@ -282,7 +280,7 @@ TEST(Int8GemmTest, RequantizeLutMatchesScalarReference) {
         // codes clamp at both ends; rows are 3 bytes wider than `out` to
         // cover the padding.
         std::vector<float> y(static_cast<size_t>(m * out));
-        DequantEpilogueScalar(c.acc.data(), m, c.packed, y.data());
+        DequantEpilogue(c.acc.data(), m, c.packed, y.data());
         const auto [lo, hi] = std::minmax_element(y.begin(), y.end());
         const QuantParams mid = ChooseQuantParams(0.6f * *lo, 0.6f * *hi);
         const int64_t ld_q = out + 3;
@@ -555,7 +553,7 @@ TEST(QuantizedFfnTest, ForwardMatchesScalarPipeline) {
                           static_cast<uint8_t>(fc2.act.zero_point),
                           qh.data());
       Int8GemmRowRangeScalar(qh.data(), 0, m, fc2, acc2.data());
-      DequantEpilogueScalar(acc2.data(), m, fc2, ref.data());
+      DequantEpilogue(acc2.data(), m, fc2, ref.data());
 
       Tensor got = backend.Forward(x);
       ASSERT_EQ(got.size(), static_cast<int64_t>(ref.size()));
