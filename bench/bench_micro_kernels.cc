@@ -267,7 +267,7 @@ void BM_EncoderLayerForward(benchmark::State& state) {
   Tensor x = Tensor::Randn({16, 56, 64}, &rng);
   for (auto _ : state) {
     Variable v = Variable::Constant(x);
-    benchmark::DoNotOptimize(layer.Forward(v, Tensor(), 0.0f, false, &rng));
+    benchmark::DoNotOptimize(layer.Forward(v, v, Tensor(), 0.0f, false, &rng));
   }
 }
 BENCHMARK(BM_EncoderLayerForward);
@@ -279,7 +279,7 @@ void BM_EncoderLayerForwardBackward(benchmark::State& state) {
   for (auto _ : state) {
     layer.ZeroGrad();
     Variable v = Variable::Constant(x);
-    Variable y = layer.Forward(v, Tensor(), 0.0f, true, &rng);
+    Variable y = layer.Forward(v, v, Tensor(), 0.0f, true, &rng);
     Variable loss = ag::MeanAll(ag::Mul(y, y));
     Backward(loss);
     benchmark::DoNotOptimize(loss.value()[0]);

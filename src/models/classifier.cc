@@ -42,30 +42,28 @@ SequencePairClassifier::SequencePairClassifier(
 
 Variable SequencePairClassifier::Logits(const Batch& batch, bool train,
                                         Rng* rng) {
-  Variable hidden = backbone_->EncodeBatch(batch, train, rng);
-  Variable pooled = backbone_->PooledOutput(hidden, train, rng);
-  Variable h = ag::Tanh(dense_.Forward(pooled));
-  h = ag::Dropout(h, backbone_->config().dropout, train, rng);
-  return out_.Forward(h);
+  return Head(backbone_->EncodeCls(batch, train, rng), train, rng);
 }
 
 Variable SequencePairClassifier::LogitsFromHidden(const Variable& hidden,
                                                   const Tensor& mask,
                                                   int64_t split_layer,
                                                   bool train, Rng* rng) {
-  Variable full =
-      backbone_->EncodeFromLayer(hidden, mask, split_layer, train, rng);
-  Variable pooled = backbone_->PooledOutput(full, train, rng);
-  Variable h = ag::Tanh(dense_.Forward(pooled));
-  h = ag::Dropout(h, backbone_->config().dropout, train, rng);
-  return out_.Forward(h);
+  return Head(backbone_->EncodeFromLayer(hidden, mask, split_layer, train,
+                                         rng, /*cls_only=*/true),
+              train, rng);
 }
 
 Variable SequencePairClassifier::LogitsSplit(const Batch& batch,
                                              int64_t split_layer, bool train,
                                              Rng* rng) {
-  Variable hidden =
-      backbone_->EncodeBatchSegmentLocal(batch, split_layer, train, rng);
+  return Head(backbone_->EncodeBatchSegmentLocal(batch, split_layer, train,
+                                                 rng, /*cls_only=*/true),
+              train, rng);
+}
+
+Variable SequencePairClassifier::Head(const Variable& hidden, bool train,
+                                      Rng* rng) {
   Variable pooled = backbone_->PooledOutput(hidden, train, rng);
   Variable h = ag::Tanh(dense_.Forward(pooled));
   h = ag::Dropout(h, backbone_->config().dropout, train, rng);

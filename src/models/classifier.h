@@ -23,7 +23,10 @@ class SequencePairClassifier : public nn::Module {
   /// Takes ownership of the (typically pre-trained) backbone.
   SequencePairClassifier(std::unique_ptr<TransformerModel> backbone, Rng* rng);
 
-  /// Match logits [B, 2] for a tokenized entity-pair batch.
+  /// Match logits [B, 2] for a tokenized entity-pair batch. All three
+  /// entry points run the last encoder layer for the CLS row only (see
+  /// TransformerModel::EncodeCls); the logits equal those pooled from the
+  /// full [B, T, H] states bit for bit in inference.
   Variable Logits(const Batch& batch, bool train, Rng* rng);
 
   /// Match logits [B, 2] resuming from layer-`split_layer` hidden states
@@ -55,6 +58,10 @@ class SequencePairClassifier : public nn::Module {
   const nn::Linear& out_layer() const { return out_; }
 
  private:
+  /// Pooling, dense + tanh, dropout and the output layer over final hidden
+  /// states whose row 0 is the CLS position.
+  Variable Head(const Variable& hidden, bool train, Rng* rng);
+
   std::unique_ptr<TransformerModel> backbone_;
   nn::Linear dense_;
   nn::Linear out_;

@@ -1,6 +1,7 @@
 #include "models/encoder.h"
 
 #include "tensor/autograd_ops.h"
+#include "tensor/tensor_ops.h"
 #include "util/logging.h"
 
 namespace emx {
@@ -65,12 +66,37 @@ Variable EncoderModel::Embed(const Batch& batch, bool train, Rng* rng,
   return ag::Dropout(x, config_.dropout, train, rng);
 }
 
-Variable EncoderModel::EncodeBatch(const Batch& batch, bool train, Rng* rng) {
-  Variable x = Embed(batch, train, rng);
-  for (const auto& layer : layers_) {
-    x = layer->Forward(x, batch.attention_mask, config_.dropout, train, rng);
+Variable EncoderModel::RunLayers(Variable x, const Tensor& mask,
+                                 int64_t begin, int64_t end, bool cls_only,
+                                 bool train, Rng* rng) {
+  for (int64_t i = begin; i < end; ++i) {
+    Variable query = x;
+    Tensor query_mask = mask;
+    if (cls_only && i == config_.num_layers - 1) {
+      const int64_t b = x.value().dim(0);
+      query = ag::Reshape(ag::SelectTimeStep(x, 0), {b, 1, config_.hidden});
+      if (mask.size() > 0 && mask.dim(2) > 1) {
+        // A [B,1,T,T] segment-local mask: keep the CLS query's row.
+        EMX_CHECK_EQ(mask.dim(1), 1);
+        const int64_t t = mask.dim(3);
+        query_mask = ops::SelectTimeStep(mask.Reshape({b, mask.dim(2), t}), 0)
+                         .Reshape({b, 1, 1, t});
+      }
+    }
+    x = layers_[static_cast<size_t>(i)]->Forward(query, x, query_mask,
+                                                 config_.dropout, train, rng);
   }
   return x;
+}
+
+Variable EncoderModel::EncodeBatch(const Batch& batch, bool train, Rng* rng) {
+  return RunLayers(Embed(batch, train, rng), batch.attention_mask, 0,
+                   config_.num_layers, /*cls_only=*/false, train, rng);
+}
+
+Variable EncoderModel::EncodeCls(const Batch& batch, bool train, Rng* rng) {
+  return RunLayers(Embed(batch, train, rng), batch.attention_mask, 0,
+                   config_.num_layers, /*cls_only=*/true, train, rng);
 }
 
 Variable EncoderModel::EncodeSegmentPrefix(const Batch& batch,
@@ -79,30 +105,23 @@ Variable EncoderModel::EncodeSegmentPrefix(const Batch& batch,
   EMX_CHECK_GE(split_layer, 0);
   EMX_CHECK_LE(split_layer, config_.num_layers);
   // Inference-only: dropout off, so the cached prefix is deterministic.
-  Variable x = Embed(batch, /*train=*/false, rng, position_offset);
-  for (int64_t i = 0; i < split_layer; ++i) {
-    x = layers_[static_cast<size_t>(i)]->Forward(
-        x, batch.attention_mask, config_.dropout, /*train=*/false, rng);
-  }
-  return x;
+  return RunLayers(Embed(batch, /*train=*/false, rng, position_offset),
+                   batch.attention_mask, 0, split_layer, /*cls_only=*/false,
+                   /*train=*/false, rng);
 }
 
 Variable EncoderModel::EncodeFromLayer(const Variable& hidden,
                                        const Tensor& mask, int64_t split_layer,
-                                       bool train, Rng* rng) {
+                                       bool train, Rng* rng, bool cls_only) {
   EMX_CHECK_GE(split_layer, 0);
   EMX_CHECK_LE(split_layer, config_.num_layers);
-  Variable x = hidden;
-  for (int64_t i = split_layer; i < config_.num_layers; ++i) {
-    x = layers_[static_cast<size_t>(i)]->Forward(x, mask, config_.dropout,
-                                                 train, rng);
-  }
-  return x;
+  return RunLayers(hidden, mask, split_layer, config_.num_layers, cls_only,
+                   train, rng);
 }
 
 Variable EncoderModel::EncodeBatchSegmentLocal(const Batch& batch,
                                                int64_t split_layer, bool train,
-                                               Rng* rng) {
+                                               Rng* rng, bool cls_only) {
   EMX_CHECK_GE(split_layer, 0);
   EMX_CHECK_LE(split_layer, config_.num_layers);
   Variable x = Embed(batch, train, rng);
@@ -119,12 +138,10 @@ Variable EncoderModel::EncodeBatchSegmentLocal(const Batch& batch,
     }
     Tensor local =
         Batch::MakeSegmentLocalMask(pad, batch.segment_ids, b, t);
-    for (int64_t i = 0; i < split_layer; ++i) {
-      x = layers_[static_cast<size_t>(i)]->Forward(x, local, config_.dropout,
-                                                   train, rng);
-    }
+    x = RunLayers(x, local, 0, split_layer, cls_only, train, rng);
   }
-  return EncodeFromLayer(x, batch.attention_mask, split_layer, train, rng);
+  return EncodeFromLayer(x, batch.attention_mask, split_layer, train, rng,
+                         cls_only);
 }
 
 Variable EncoderModel::PooledOutput(const Variable& hidden, bool train,

@@ -29,6 +29,7 @@ class EncoderModel : public TransformerModel {
   EncoderModel(const TransformerConfig& config, Rng* rng);
 
   Variable EncodeBatch(const Batch& batch, bool train, Rng* rng) override;
+  Variable EncodeCls(const Batch& batch, bool train, Rng* rng) override;
 
   Variable PooledOutput(const Variable& hidden, bool train, Rng* rng) override;
 
@@ -66,11 +67,19 @@ class EncoderModel : public TransformerModel {
   Variable EncodeSegmentPrefix(const Batch& batch, int64_t split_layer,
                                int64_t position_offset, Rng* rng) override;
   Variable EncodeFromLayer(const Variable& hidden, const Tensor& mask,
-                           int64_t split_layer, bool train, Rng* rng) override;
+                           int64_t split_layer, bool train, Rng* rng,
+                           bool cls_only) override;
   Variable EncodeBatchSegmentLocal(const Batch& batch, int64_t split_layer,
-                                   bool train, Rng* rng) override;
+                                   bool train, Rng* rng,
+                                   bool cls_only) override;
 
  private:
+  /// Runs layers [begin, end) over `x` under `mask`. With `cls_only` the
+  /// last layer (index L - 1) takes only the CLS row as its query and the
+  /// matching row of the mask, and returns [B, 1, H].
+  Variable RunLayers(Variable x, const Tensor& mask, int64_t begin,
+                     int64_t end, bool cls_only, bool train, Rng* rng);
+
   TransformerConfig config_;
   nn::Embedding token_embeddings_;
   nn::Embedding position_embeddings_;

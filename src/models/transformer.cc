@@ -7,6 +7,11 @@
 namespace emx {
 namespace models {
 
+Variable TransformerModel::EncodeCls(const Batch& batch, bool train,
+                                     Rng* rng) {
+  return EncodeBatch(batch, train, rng);
+}
+
 Variable TransformerModel::EncodeSegmentPrefix(const Batch&, int64_t, int64_t,
                                                Rng*) {
   EMX_CHECK(false) << ArchitectureName(config().arch)
@@ -16,7 +21,7 @@ Variable TransformerModel::EncodeSegmentPrefix(const Batch&, int64_t, int64_t,
 }
 
 Variable TransformerModel::EncodeFromLayer(const Variable&, const Tensor&,
-                                           int64_t, bool, Rng*) {
+                                           int64_t, bool, Rng*, bool) {
   EMX_CHECK(false) << ArchitectureName(config().arch)
                    << " does not support split encoding "
                       "(SupportsSplitEncode() is false)";
@@ -24,7 +29,7 @@ Variable TransformerModel::EncodeFromLayer(const Variable&, const Tensor&,
 }
 
 Variable TransformerModel::EncodeBatchSegmentLocal(const Batch&, int64_t, bool,
-                                                   Rng*) {
+                                                   Rng*, bool) {
   EMX_CHECK(false) << ArchitectureName(config().arch)
                    << " does not support split encoding "
                       "(SupportsSplitEncode() is false)";

@@ -21,6 +21,12 @@ class TransformerModel : public nn::Module {
   /// Runs the encoder and returns the final hidden states [B, T, H].
   virtual Variable EncodeBatch(const Batch& batch, bool train, Rng* rng) = 0;
 
+  /// The final hidden states SequencePairClassifier pools from. Only the
+  /// CLS position is read, so the BERT family runs its last layer for that
+  /// row alone and returns [B, 1, H]. The default returns EncodeBatch's
+  /// [B, T, H]: XLNet's RelativeShift assumes as many query rows as keys.
+  virtual Variable EncodeCls(const Batch& batch, bool train, Rng* rng);
+
   /// A sequence-level representation for classification: the hidden state
   /// at the CLS position, optionally passed through the model's pooler.
   virtual Variable PooledOutput(const Variable& hidden, bool train,
@@ -64,19 +70,23 @@ class TransformerModel : public nn::Module {
   /// Resumes a forward pass at layer `split_layer`: runs layers
   /// [split_layer, L) over `hidden` [B, T, H] with the given pad mask,
   /// producing the same final hidden states EncodeBatch would from that
-  /// point. Default aborts; gate on SupportsSplitEncode().
+  /// point. With `cls_only` the last layer takes only the CLS row as its
+  /// query (as in EncodeCls), so a call that runs it returns [B, 1, H].
+  /// Default aborts; gate on SupportsSplitEncode().
   virtual Variable EncodeFromLayer(const Variable& hidden, const Tensor& mask,
-                                   int64_t split_layer, bool train, Rng* rng);
+                                   int64_t split_layer, bool train, Rng* rng,
+                                   bool cls_only);
 
   /// Reference semantics of the split path on a *pair* batch: layers
   /// [0, split_layer) run under a segment-local (block-diagonal) attention
   /// mask derived from batch.segment_ids, layers [split_layer, L) under the
   /// ordinary pad mask. Equals EncodeBatch exactly at split_layer = 0; used
   /// for ΔF1 evaluation and as the golden path for the serving cache tests.
-  /// Default aborts; gate on SupportsSplitEncode().
+  /// `cls_only` as for EncodeFromLayer. Default aborts; gate on
+  /// SupportsSplitEncode().
   virtual Variable EncodeBatchSegmentLocal(const Batch& batch,
                                            int64_t split_layer, bool train,
-                                           Rng* rng);
+                                           Rng* rng, bool cls_only);
 };
 
 /// Builds the architecture named by `config.arch` (factory used by the

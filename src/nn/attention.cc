@@ -58,12 +58,13 @@ TransformerEncoderLayer::TransformerEncoderLayer(int64_t hidden,
       ln_attn_(hidden),
       ln_ffn_(hidden) {}
 
-Variable TransformerEncoderLayer::Forward(const Variable& x, const Tensor& mask,
-                                          float dropout_p, bool train,
-                                          Rng* rng) const {
-  Variable attn = attention_.Forward(x, x, mask, dropout_p, train, rng);
+Variable TransformerEncoderLayer::Forward(const Variable& query,
+                                          const Variable& kv,
+                                          const Tensor& mask, float dropout_p,
+                                          bool train, Rng* rng) const {
+  Variable attn = attention_.Forward(query, kv, mask, dropout_p, train, rng);
   attn = ag::Dropout(attn, dropout_p, train, rng);
-  Variable h = ln_attn_.Forward(ag::Add(x, attn));
+  Variable h = ln_attn_.Forward(ag::Add(query, attn));
 
   Variable ffn = ffn_.Forward(h, dropout_p, train, rng);
   ffn = ag::Dropout(ffn, dropout_p, train, rng);

@@ -64,8 +64,12 @@ class MultiHeadAttention : public Module {
 };
 
 /// One post-LayerNorm transformer encoder layer (BERT ordering):
-///   x = LN(x + Dropout(SelfAttention(x)))
+///   x = LN(q + Dropout(Attention(q, kv)))
 ///   x = LN(x + Dropout(FFN(x)))
+/// Self-attention passes the same tensor as `query` and `kv`. A last layer
+/// whose only reader is the CLS position passes just that row as `query`
+/// [B, 1, H]; every op after the attention core works per row, so that row
+/// comes out as it would from the full [B, T, H] query.
 class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(int64_t hidden, int64_t num_heads,
@@ -73,8 +77,11 @@ class TransformerEncoderLayer : public Module {
                           Activation activation = Activation::kGelu,
                           float init_stddev = 0.02f);
 
-  Variable Forward(const Variable& x, const Tensor& mask, float dropout_p,
-                   bool train, Rng* rng) const;
+  /// query: [B, Tq, H]; kv: [B, Tk, H]; mask as for MultiHeadAttention
+  /// (a [B, 1, Tq, Tk] mask must have Tq query rows). Returns [B, Tq, H].
+  Variable Forward(const Variable& query, const Variable& kv,
+                   const Tensor& mask, float dropout_p, bool train,
+                   Rng* rng) const;
 
   void CollectParameters(const std::string& prefix,
                          std::vector<NamedParam>* out) override;

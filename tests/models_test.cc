@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "models/classifier.h"
 #include "models/config.h"
@@ -329,7 +332,8 @@ TEST(SplitEncodeTest, K0SegmentLocalIsBitIdenticalToEncodeBatch) {
   Batch batch = MakePaddedPairBatch(2, 8, 3, &rng);
   Rng r1(5), r2(5);
   Variable full = model.EncodeBatch(batch, false, &r1);
-  Variable split = model.EncodeBatchSegmentLocal(batch, 0, false, &r2);
+  Variable split = model.EncodeBatchSegmentLocal(batch, 0, false, &r2,
+                                                 /*cls_only=*/false);
   ASSERT_EQ(full.shape(), split.shape());
   for (int64_t i = 0; i < full.value().size(); ++i) {
     ASSERT_EQ(full.value()[i], split.value()[i]) << "element " << i;
@@ -380,8 +384,10 @@ TEST(SplitEncodeTest, PerSegmentPrefixesConcatenateExactly) {
   Variable cat = ag::Concat({prefix_a, prefix_b}, 1);
   Rng r2(9), r3(9);
   Variable resumed =
-      model.EncodeFromLayer(cat, pair.attention_mask, k, false, &r2);
-  Variable direct = model.EncodeBatchSegmentLocal(pair, k, false, &r3);
+      model.EncodeFromLayer(cat, pair.attention_mask, k, false, &r2,
+                            /*cls_only=*/false);
+  Variable direct = model.EncodeBatchSegmentLocal(pair, k, false, &r3,
+                                                  /*cls_only=*/false);
   for (int64_t i = 0; i < resumed.value().size(); ++i) {
     ASSERT_EQ(resumed.value()[i], direct.value()[i]) << "element " << i;
   }
@@ -411,6 +417,138 @@ TEST(SplitEncodeTest, OnlyEncoderFamilySupportsSplit) {
   auto xlnet = CreateTransformer(SmallConfig(Architecture::kXlnet), &rng);
   EXPECT_FALSE(xlnet->SupportsSplitEncode())
       << "XLNet's two-stream relative attention has no per-segment prefix";
+}
+
+// ---- CLS-row last layer ----------------------------------------------------
+
+// Pair batch whose row r has t - 1 - r % (t / 2) real tokens, so every
+// batch size (1 included) carries padding and the rows differ in length.
+// Its first segment holds 1 + r % (real / 2) tokens: in row 0 the CLS
+// token is alone in it, so the segment-local mask's CLS row differs from
+// every other row.
+Batch MakeRaggedPairBatch(int64_t b, int64_t t, Rng* rng) {
+  Batch batch;
+  batch.batch_size = b;
+  batch.seq_len = t;
+  std::vector<float> flat(static_cast<size_t>(b * t), 0.0f);
+  for (int64_t r = 0; r < b; ++r) {
+    const int64_t real = t - 1 - r % (t / 2);
+    for (int64_t j = 0; j < t; ++j) {
+      batch.ids.push_back(j < real ? rng->NextInt(5, 49) : 0);
+      batch.segment_ids.push_back(j < 1 + r % (real / 2) ? 0 : 1);
+      if (j >= real) flat[static_cast<size_t>(r * t + j)] = 1.0f;
+    }
+  }
+  batch.attention_mask = Batch::MakeMask(flat, b, t);
+  return batch;
+}
+
+TransformerConfig ClsRowConfig(Architecture arch) {
+  TransformerConfig cfg = SmallConfig(arch);
+  if (arch == Architecture::kDistilBert) cfg.num_layers = 1;  // last = only
+  return cfg;
+}
+
+// The head over full [B, T, H] final states: the reference the CLS-row
+// last layer must reproduce (dropout is off in every caller).
+Variable FullLastLayerLogits(SequencePairClassifier* cls,
+                             const Variable& hidden) {
+  Rng rng(0);
+  Variable pooled = cls->backbone()->PooledOutput(hidden, false, &rng);
+  return cls->out_layer().Forward(
+      ag::Tanh(cls->dense_layer().Forward(pooled)));
+}
+
+void ExpectBitEqual(const Variable& got, const Variable& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.value()[i], want.value()[i]) << what << " logit " << i;
+  }
+}
+
+TEST(ClsRowLastLayerTest, LogitsMatchFullLastLayerBitForBit) {
+  // Every classifier entry point runs its last layer for the CLS row only;
+  // the GEMMs, fused attention and LayerNorm are per row, so the logits
+  // must equal those pooled from the full final states exactly.
+  Rng rng(31);
+  for (auto arch : {Architecture::kBert, Architecture::kRoberta,
+                    Architecture::kDistilBert}) {
+    const TransformerConfig cfg = ClsRowConfig(arch);
+    SequencePairClassifier cls(CreateTransformer(cfg, &rng), &rng);
+    auto* model = static_cast<EncoderModel*>(cls.backbone());
+    for (int64_t b : {1, 3, 16}) {
+      const std::string tag =
+          std::string(ArchitectureName(arch)) + " B=" + std::to_string(b);
+      Batch batch = MakeRaggedPairBatch(b, 12, &rng);
+      Rng r(7);
+      Variable full = model->EncodeBatch(batch, false, &r);
+      const Variable reference = FullLastLayerLogits(&cls, full);
+      EXPECT_EQ(model->EncodeCls(batch, false, &r).shape(),
+                (Shape{b, 1, cfg.hidden}));
+      ExpectBitEqual(cls.Logits(batch, false, &r), reference, tag);
+      for (int64_t k = 0; k <= cfg.num_layers; ++k) {
+        const std::string at = tag + " k=" + std::to_string(k);
+        // Resuming from the ordinary layer-k states (EncodeSegmentPrefix on
+        // a pair batch runs layers [0, k) under its pad mask).
+        Variable prefix = model->EncodeSegmentPrefix(batch, k, 0, &r);
+        ExpectBitEqual(cls.LogitsFromHidden(prefix, batch.attention_mask, k,
+                                            false, &r),
+                       reference, at + " LogitsFromHidden");
+        // The segment-local reference; at k = L the last layer runs under
+        // the [B,1,T,T] mask, cut to the CLS query's row.
+        Variable local = model->EncodeBatchSegmentLocal(batch, k, false, &r,
+                                                        /*cls_only=*/false);
+        ExpectBitEqual(cls.LogitsSplit(batch, k, false, &r),
+                       FullLastLayerLogits(&cls, local), at + " LogitsSplit");
+      }
+    }
+  }
+}
+
+TEST(ClsRowLastLayerTest, TrainingGradientsMatchFullLastLayer) {
+  // With dropout 0 the loss is the same function of every parameter, so
+  // the gradients agree. Bias and LayerNorm gradients sum over rows, and
+  // the CLS-row path sums fewer of them, so the order differs: compare
+  // within 1e-5 of each parameter's largest gradient. The key bias's true
+  // gradient is zero (softmax ignores a per-row shift), so its entries are
+  // rounding noise; the 1e-9 floor admits that.
+  Rng rng(32);
+  for (auto arch : {Architecture::kBert, Architecture::kDistilBert}) {
+    SequencePairClassifier cls(CreateTransformer(ClsRowConfig(arch), &rng),
+                               &rng);
+    Batch batch = MakeRaggedPairBatch(4, 10, &rng);
+    const std::vector<int64_t> labels = {0, 1, 1, 0};
+    auto grads = [&](bool cls_row) {
+      cls.ZeroGrad();
+      Rng r(3);
+      Variable logits =
+          cls_row ? cls.Logits(batch, /*train=*/true, &r)
+                  : FullLastLayerLogits(
+                        &cls, cls.backbone()->EncodeBatch(batch, true, &r));
+      Backward(ag::CrossEntropy(logits, labels));
+      std::vector<Tensor> out;
+      for (auto& p : cls.Parameters()) out.push_back(p.var.grad().Clone());
+      return out;
+    };
+    const std::vector<Tensor> got = grads(true);
+    const std::vector<Tensor> want = grads(false);
+    const auto params = cls.Parameters();
+    ASSERT_EQ(got.size(), want.size());
+    int64_t nonzero = 0;
+    for (size_t p = 0; p < got.size(); ++p) {
+      float scale = 0.0f, diff = 0.0f;
+      for (int64_t i = 0; i < want[p].size(); ++i) {
+        scale = std::max(scale, std::fabs(want[p][i]));
+        diff = std::max(diff, std::fabs(got[p][i] - want[p][i]));
+      }
+      if (scale > 0.0f) ++nonzero;
+      EXPECT_LE(diff, 1e-5f * scale + 1e-9f)
+          << ArchitectureName(arch) << " " << params[p].name;
+    }
+    EXPECT_GT(nonzero, 10);  // the comparison covers the encoder, not just
+                             // the head
+  }
 }
 
 // ---- Factory --------------------------------------------------------------------

@@ -420,7 +420,7 @@ TEST(EncoderLayerTest, ShapeAndParamCount) {
   Rng rng(16);
   TransformerEncoderLayer layer(16, 4, 64, &rng);
   Variable x = Variable::Constant(Tensor::Randn({2, 6, 16}, &rng));
-  Variable y = layer.Forward(x, Tensor(), 0.0f, false, &rng);
+  Variable y = layer.Forward(x, x, Tensor(), 0.0f, false, &rng);
   EXPECT_EQ(y.shape(), (Shape{2, 6, 16}));
   // 4 projections (16x16+16) + ffn (16*64+64 + 64*16+16) + 2 LN (2*16).
   const int64_t expected = 4 * (16 * 16 + 16) + (16 * 64 + 64 + 64 * 16 + 16) +
@@ -431,13 +431,32 @@ TEST(EncoderLayerTest, ShapeAndParamCount) {
 TEST(EncoderLayerTest, TrainVsEvalDropoutDiffers) {
   Rng rng(17);
   TransformerEncoderLayer layer(8, 2, 32, &rng);
-  Tensor x = Tensor::Randn({1, 4, 8}, &rng);
+  Variable xv = Variable::Constant(Tensor::Randn({1, 4, 8}, &rng));
   Rng d1(100), d2(100);
-  Variable eval1 = layer.Forward(Variable::Constant(x), Tensor(), 0.5f, false, &d1);
-  Variable eval2 = layer.Forward(Variable::Constant(x), Tensor(), 0.5f, false, &d2);
+  Variable eval1 = layer.Forward(xv, xv, Tensor(), 0.5f, false, &d1);
+  Variable eval2 = layer.Forward(xv, xv, Tensor(), 0.5f, false, &d2);
   EXPECT_TRUE(ops::AllClose(eval1.value(), eval2.value()));
-  Variable train1 = layer.Forward(Variable::Constant(x), Tensor(), 0.5f, true, &d1);
+  Variable train1 = layer.Forward(xv, xv, Tensor(), 0.5f, true, &d1);
   EXPECT_FALSE(ops::AllClose(train1.value(), eval1.value()));
+}
+
+TEST(EncoderLayerTest, ClsRowQueryReproducesFullRow) {
+  // Passing only row 0 as the query gives row 0 of the self-attention
+  // layer bit for bit: every op after the attention core works per row.
+  Rng rng(19);
+  TransformerEncoderLayer layer(16, 4, 32, &rng);
+  const int64_t b = 3, t = 7;
+  Variable x = Variable::Constant(Tensor::Randn({b, t, 16}, &rng));
+  Tensor mask({b, 1, 1, t});
+  mask[1 * t + 6] = 1.0f;  // pad the last key of row 1
+  Variable full = layer.Forward(x, x, mask, 0.0f, false, &rng);
+  Variable cls = ag::Reshape(ag::SelectTimeStep(x, 0), {b, 1, 16});
+  Variable row = layer.Forward(cls, x, mask, 0.0f, false, &rng);
+  ASSERT_EQ(row.shape(), (Shape{b, 1, 16}));
+  Tensor want = ops::SelectTimeStep(full.value(), 0);
+  for (int64_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(row.value()[i], want[i]) << "element " << i;
+  }
 }
 
 // ---- Serialization ----------------------------------------------------------------
@@ -701,7 +720,7 @@ TEST(AdamTest, TrainsSmallTransformerLayer) {
     std::vector<int64_t> flat;
     for (auto& s : seqs) flat.insert(flat.end(), s.begin(), s.end());
     Variable x = emb.Forward(flat, {6, 4});
-    Variable h = layer.Forward(x, Tensor(), 0.0f, true, &rng);
+    Variable h = layer.Forward(x, x, Tensor(), 0.0f, true, &rng);
     Variable cls = ag::SelectTimeStep(h, 0);
     Variable logits = head.Forward(cls);
     Variable loss = ag::CrossEntropy(logits, labels);

@@ -23,7 +23,10 @@
 #include "serve/lru_cache.h"
 #include "serve/matcher_engine.h"
 #include "serve/serving_metrics.h"
+#include "tensor/autograd_ops.h"
+#include "tensor/tensor_ops.h"
 #include "tensor/variable.h"
+#include "tokenizers/tokenizer.h"
 #include "util/rng.h"
 
 namespace emx {
@@ -789,6 +792,112 @@ TEST_F(ServeFixture, SplitK0BitIdenticalInt8) {
     ASSERT_TRUE(rf.status.ok());
     ASSERT_TRUE(rs.status.ok());
     EXPECT_EQ(rf.probability, rs.probability) << a << " / " << b;
+  }
+}
+
+// Match probabilities pooled from the *full* [B, T, H] final states, with
+// the batch laid out as the engine lays it out in a `seq_len`-wide bucket.
+// Layers below `split_layer` run segment-locally, as on the engine's split
+// path; split_layer <= 0 is the ordinary cross-encoder.
+std::vector<double> FullLastLayerProbabilities(
+    core::EntityMatcher* matcher,
+    const std::vector<std::pair<std::string, std::string>>& pairs,
+    int64_t seq_len, int64_t split_layer, bool int8) {
+  NoGradGuard no_grad;
+  nn::QuantModeGuard quant(int8);
+  const int64_t b = static_cast<int64_t>(pairs.size());
+  models::Batch batch;
+  batch.batch_size = b;
+  batch.seq_len = seq_len;
+  std::vector<float> pad;
+  for (const auto& [x, y] : pairs) {
+    const tokenizers::EncodedPair enc =
+        matcher->tokenizer().EncodePair(x, y, seq_len);
+    batch.ids.insert(batch.ids.end(), enc.ids.begin(), enc.ids.end());
+    batch.segment_ids.insert(batch.segment_ids.end(), enc.segment_ids.begin(),
+                             enc.segment_ids.end());
+    pad.insert(pad.end(), enc.attention_mask.begin(), enc.attention_mask.end());
+  }
+  batch.attention_mask = models::Batch::MakeMask(pad, b, seq_len);
+  models::SequencePairClassifier* cls = matcher->classifier();
+  Rng rng(0);
+  Variable hidden = cls->backbone()->EncodeBatchSegmentLocal(
+      batch, std::max<int64_t>(split_layer, 0), false, &rng,
+      /*cls_only=*/false);
+  Variable pooled = cls->backbone()->PooledOutput(hidden, false, &rng);
+  Variable logits = cls->out_layer().Forward(
+      autograd::Tanh(cls->dense_layer().Forward(pooled)));
+  Tensor probs = ops::Softmax(logits.value());
+  std::vector<double> out;
+  for (int64_t i = 0; i < b; ++i) out.push_back(probs[i * 2 + 1]);
+  return out;
+}
+
+TEST_F(ServeFixture, ClsRowLastLayerServesFullLastLayerProbabilities) {
+  // Served logits come from a last layer that computes only the CLS row.
+  // For fp32 and frozen int8, unsplit and at every split k < L, the served
+  // probabilities must equal those pooled from the full final states bit
+  // for bit, whatever batches the requests land in.
+  auto bundle = pretrain::GetPretrained(models::Architecture::kBert, Zoo());
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  core::EntityMatcher quantized(std::move(bundle).value());
+  quantized.set_eval_max_seq_len(kSeqLen);
+  quant::CalibrationData calib;
+  for (int i = 0; i < 8; ++i) {
+    calib.texts_a.push_back("canon eos camera " + std::to_string(i));
+    calib.texts_b.push_back("canon eos body kit " + std::to_string(i % 3));
+  }
+  ASSERT_TRUE(quant::QuantizeMatcher(&quantized, calib).ok());
+
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int i = 0; i < 17; ++i) {
+    pairs.emplace_back("canon eos r" + std::to_string(i) + " mirrorless",
+                       i % 2 ? "canon eos r" + std::to_string(i % 5)
+                             : "nikon z" + std::to_string(i) + " body only");
+  }
+  pairs.emplace_back("a", "b");
+  for (auto& p : TruncatingPairs()) pairs.push_back(std::move(p));
+
+  const int64_t layers = Matcher()->classifier()->config().num_layers;
+  for (bool int8 : {false, true}) {
+    core::EntityMatcher* matcher = int8 ? &quantized : Matcher();
+    if (int8) {
+      // Direct prediction runs the same CLS-row forward.
+      std::vector<std::string> as, bs;
+      for (const auto& [x, y] : pairs) {
+        as.push_back(x);
+        bs.push_back(y);
+      }
+      const std::vector<double> direct = matcher->MatchProbabilities(as, bs);
+      const std::vector<double> want =
+          FullLastLayerProbabilities(matcher, pairs, kSeqLen, -1, true);
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        EXPECT_EQ(direct[i], want[i]) << "MatchProbabilities pair " << i;
+      }
+    }
+    for (int64_t k = -1; k < layers; ++k) {
+      const std::vector<double> want =
+          FullLastLayerProbabilities(matcher, pairs, kSeqLen, k, int8);
+      EngineOptions opts = BaseOptions();
+      opts.precision = int8 ? Precision::kInt8 : Precision::kFp32;
+      opts.split_layer = k;
+      opts.max_batch_size = 16;
+      opts.max_wait_us = 20'000;
+      MatcherEngine engine(matcher, opts);
+      std::vector<std::future<MatchResult>> futures;
+      for (const auto& [x, y] : pairs) futures.push_back(engine.Submit(x, y));
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        MatchResult r = futures[i].get();
+        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+        EXPECT_EQ(r.probability, want[i])
+            << (int8 ? "int8" : "fp32") << " k=" << k << " pair " << i;
+      }
+      // A lone request forms a batch of one.
+      MatchResult lone = engine.Match(pairs[3].first, pairs[3].second);
+      ASSERT_TRUE(lone.status.ok());
+      EXPECT_EQ(lone.batch_size, 1);
+      EXPECT_EQ(lone.probability, want[3]) << "k=" << k << " batch of one";
+    }
   }
 }
 
