@@ -11,6 +11,11 @@
 //              fused vs reference (proves the fused path never materializes
 //              the [B, heads, Tq, Tk] prob tensor).
 //
+// Each case also reports the achieved GFLOP/s of the fused forward and
+// training step, counting the matrix products only: 4 B h Tq Tk dh FLOPs
+// forward (QK^T and PV) and 10 B h Tq Tk dh more backward (the recomputed
+// scores, dprob, dq, dk and dv).
+//
 // Results are printed and written to BENCH_attention.json with three gates:
 //
 //   exact      fused forward bit-identical to the reference chain,
@@ -29,6 +34,7 @@
 //   EMX_ATTN_DROPOUT  train-mode dropout p         (default 0.1)
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +44,7 @@
 #include "bench/bench_common.h"
 #include "bench/report.h"
 #include "tensor/autograd_ops.h"
+#include "tensor/fused_attention.h"
 #include "tensor/tensor.h"
 #include "tensor/variable.h"
 #include "util/rng.h"
@@ -53,8 +60,9 @@ struct ShapeCase {
   int64_t batch;
   int64_t heads;
   int64_t head_dim;
-  int64_t seq;
-  bool gated;  // the T=256 training-step speedup gate applies here
+  int64_t seq;    // key/value rows, Tk
+  int64_t q_rows; // query rows, Tq: seq, or 1 for the [CLS]-row layer
+  bool gated;     // the T=256 training-step speedup gate applies here
 };
 
 struct CaseResult {
@@ -68,6 +76,8 @@ struct CaseResult {
   int64_t peak_ref_bytes = 0;
   int64_t peak_fused_bytes = 0;
   bool exact = false;
+  double fwd_gflops = 0;
+  double train_gflops = 0;
 };
 
 struct Inputs {
@@ -78,15 +88,15 @@ struct Inputs {
 Inputs MakeInputs(const ShapeCase& s, bool requires_grad, Rng* rng) {
   const int64_t hidden = s.heads * s.head_dim;
   Inputs in;
-  auto make = [&](uint64_t salt) {
+  auto make = [&](uint64_t salt, int64_t rows) {
     Rng local(1234 + salt);
-    Tensor t = Tensor::Randn({s.batch, s.seq, hidden}, &local, 0.5f);
+    Tensor t = Tensor::Randn({s.batch, rows, hidden}, &local, 0.5f);
     return requires_grad ? Variable::Parameter(std::move(t))
                          : Variable::Constant(std::move(t));
   };
-  in.q = make(1);
-  in.k = make(2);
-  in.v = make(3);
+  in.q = make(1, s.q_rows);
+  in.k = make(2, s.seq);
+  in.v = make(3, s.seq);
   // Padding mask blocking the tail quarter of the key axis, as the matcher
   // does for short pairs: [B, 1, 1, Tk], 1 = blocked.
   in.mask = Tensor::Zeros({s.batch, 1, 1, s.seq});
@@ -105,19 +115,19 @@ Inputs MakeInputs(const ShapeCase& s, bool requires_grad, Rng* rng) {
 Variable ReferenceCore(const Inputs& in, const ShapeCase& s, float dropout_p,
                        bool train, Rng* rng) {
   const int64_t hidden = s.heads * s.head_dim;
-  auto split = [&](const Variable& x) {
-    Variable r = ag::Reshape(x, {s.batch, s.seq, s.heads, s.head_dim});
+  auto split = [&](const Variable& x, int64_t rows) {
+    Variable r = ag::Reshape(x, {s.batch, rows, s.heads, s.head_dim});
     return ag::Permute(r, {0, 2, 1, 3});
   };
-  Variable q = split(in.q);
-  Variable k = split(in.k);
-  Variable v = split(in.v);
+  Variable q = split(in.q, s.q_rows);
+  Variable k = split(in.k, s.seq);
+  Variable v = split(in.v, s.seq);
   const float scale = 1.0f / std::sqrt(static_cast<float>(s.head_dim));
   Variable scores = ag::MulScalar(ag::MatMul(q, k, false, true), scale);
   Variable probs = ag::MaskedSoftmax(scores, in.mask);
   probs = ag::Dropout(probs, dropout_p, train, rng);
   Variable ctx = ag::MatMul(probs, v);
-  return ag::PermuteReshape(ctx, {0, 2, 1, 3}, {s.batch, s.seq, hidden});
+  return ag::PermuteReshape(ctx, {0, 2, 1, 3}, {s.batch, s.q_rows, hidden});
 }
 
 Variable FusedCore(const Inputs& in, const ShapeCase& s, float dropout_p,
@@ -201,6 +211,10 @@ CaseResult RunCase(const ShapeCase& s, bool smoke) {
 
   r.fwd_speedup = r.fwd_ref_ms / r.fwd_fused_ms;
   r.train_speedup = r.train_ref_ms / r.train_fused_ms;
+  const double product = static_cast<double>(s.batch * s.heads * s.q_rows *
+                                             s.seq * s.head_dim);
+  r.fwd_gflops = 4.0 * product / (r.fwd_fused_ms * 1e6);
+  r.train_gflops = 14.0 * product / (r.train_fused_ms * 1e6);
   return r;
 }
 
@@ -222,27 +236,33 @@ int main(int argc, char** argv) {
   const int64_t batch = bench::EnvInt("EMX_ATTN_BATCH", smoke ? 2 : 8);
   std::vector<ShapeCase> cases;
   if (smoke) {
-    cases.push_back({batch, 4, 16, 32, false});
-    cases.push_back({batch, 4, 16, 64, false});
+    cases.push_back({batch, 4, 16, 32, 32, false});
+    cases.push_back({batch, 4, 16, 64, 64, false});
+    cases.push_back({batch, 2, 32, 64, 1, false});
   } else {
     for (int64_t seq : {32, 64, 128, 256}) {
-      cases.push_back({batch, 4, 16, seq, seq == 256});
+      cases.push_back({batch, 4, 16, seq, seq, seq == 256});
     }
     // The paper models' serving shape: 2 heads of 32 at the dataset token
-    // budgets (56 everywhere, 64 for Abt-Buy).
-    cases.push_back({16, 2, 32, 56, false});
-    cases.push_back({16, 2, 32, 64, false});
+    // budgets (56 everywhere, 64 for Abt-Buy), and the classifier's last
+    // layer, which attends from the [CLS] row only.
+    cases.push_back({16, 2, 32, 56, 56, false});
+    cases.push_back({16, 2, 32, 64, 64, false});
+    cases.push_back({16, 2, 32, 64, 1, false});
   }
 
+  const bool tiles = ops::FusedAttentionUsesTiles(16);
   std::printf("bench_attention — fused tiled attention vs reference chain "
-              "(%zu threads%s)\n\n",
-              GlobalThreadPool()->num_threads(), smoke ? ", --smoke" : "");
-  std::printf("%-22s %7s | %9s %9s %7s | %9s %9s %7s | %9s %9s\n", "shape",
-              "exact", "ref fwd", "fus fwd", "fwd x", "ref trn", "fus trn",
-              "trn x", "ref MiB", "fus MiB");
+              "(%zu threads%s; AVX-512 register tiles: %s)\n\n",
+              GlobalThreadPool()->num_threads(), smoke ? ", --smoke" : "",
+              tiles ? "yes" : "no");
+  std::printf("%-26s %7s | %9s %9s %7s %7s | %9s %9s %7s %7s | %9s %9s\n",
+              "shape", "exact", "ref fwd", "fus fwd", "fwd x", "GFLOP/s",
+              "ref trn", "fus trn", "trn x", "GFLOP/s", "ref MiB", "fus MiB");
 
   bench::Report report("attention");
   report.Set("smoke", smoke);
+  report.Set("register_tiles", tiles);
   std::vector<bench::JsonObject> rows;
   bool all_exact = true;
   bool memory_ok = true;
@@ -253,16 +273,18 @@ int main(int argc, char** argv) {
     memory_ok = memory_ok && r.peak_fused_bytes < r.peak_ref_bytes;
     if (r.shape.gated) gated_train_speedup = r.train_speedup;
     char shape[64];
-    std::snprintf(shape, sizeof(shape), "B%lld h%lld dh%lld T%lld",
+    std::snprintf(shape, sizeof(shape), "B%lld h%lld dh%lld Tq%lld Tk%lld",
                   static_cast<long long>(s.batch),
                   static_cast<long long>(s.heads),
                   static_cast<long long>(s.head_dim),
+                  static_cast<long long>(s.q_rows),
                   static_cast<long long>(s.seq));
     std::printf(
-        "%-22s %7s | %7.2fms %7.2fms %6.2fx | %7.2fms %7.2fms %6.2fx | "
-        "%9.2f %9.2f\n",
+        "%-26s %7s | %7.3fms %7.3fms %6.2fx %7.2f | %7.3fms %7.3fms %6.2fx "
+        "%7.2f | %9.2f %9.2f\n",
         shape, r.exact ? "yes" : "NO", r.fwd_ref_ms, r.fwd_fused_ms,
-        r.fwd_speedup, r.train_ref_ms, r.train_fused_ms, r.train_speedup,
+        r.fwd_speedup, r.fwd_gflops, r.train_ref_ms, r.train_fused_ms,
+        r.train_speedup, r.train_gflops,
         static_cast<double>(r.peak_ref_bytes) / (1024.0 * 1024.0),
         static_cast<double>(r.peak_fused_bytes) / (1024.0 * 1024.0));
     rows.push_back(bench::JsonObject()
@@ -270,13 +292,16 @@ int main(int argc, char** argv) {
                        .Set("heads", s.heads)
                        .Set("head_dim", s.head_dim)
                        .Set("seq", s.seq)
+                       .Set("q_rows", s.q_rows)
                        .Set("exact", r.exact)
                        .Set("fwd_ref_ms", r.fwd_ref_ms)
                        .Set("fwd_fused_ms", r.fwd_fused_ms)
                        .Set("fwd_speedup", r.fwd_speedup)
+                       .Set("fwd_fused_gflops", r.fwd_gflops)
                        .Set("train_ref_ms", r.train_ref_ms)
                        .Set("train_fused_ms", r.train_fused_ms)
                        .Set("train_speedup", r.train_speedup)
+                       .Set("train_fused_gflops", r.train_gflops)
                        .Set("peak_ref_bytes", r.peak_ref_bytes)
                        .Set("peak_fused_bytes", r.peak_fused_bytes));
   }

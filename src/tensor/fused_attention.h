@@ -60,17 +60,43 @@ Tensor FusedAttentionForward(const Tensor& q, const Tensor& k,
                              Tensor* row_sum);
 
 /// Backward of FusedAttentionForward: given upstream dout [B, Tq, H] and
-/// the saved row statistics, recomputes the score rows tile by tile
-/// (never materializing [B, h, Tq, Tk]) and writes dq/dk/dv (pre-allocated
-/// zero tensors shaped like q/k/v). Parallel over B x heads; each task owns
-/// its (b, h) slice of all three gradients, so no atomics are needed and
-/// results are deterministic at any thread count.
+/// the saved row statistics, recomputes the probs from the scores and
+/// accumulates dq/dk/dv into pre-allocated tensors shaped like q/k/v
+/// (normally zero). Parallel over B x heads; each task owns its (b, h)
+/// slice of all three gradients, so no atomics are needed and results are
+/// deterministic at any thread count. The [B, h, Tq, Tk] tensors are never
+/// materialized; the AVX-512 tiles keep one (b, h) slice of them, [Tq, Tk],
+/// in per-thread scratch.
 void FusedAttentionBackward(const Tensor& dout, const Tensor& q,
                             const Tensor& k, const Tensor& v,
                             const Tensor& mask,
                             const FusedAttentionConfig& cfg,
                             const Tensor& row_max, const Tensor& row_sum,
                             Tensor* dq, Tensor* dk, Tensor* dv);
+
+/// Builds with AVX-512F, AVX-512DQ and FMA run both kernels as register
+/// tiles when head_dim is a multiple of 16: 4 query rows x 4 sixteen-lane
+/// score vectors against a packed K^T, then 4 rows x head_dim/16 output
+/// vectors streaming V (and the same two shapes for dprob, dq, dk and dv).
+/// Every element keeps the portable loops' operation chain, so the tiles
+/// are bit-identical to them. The `...Scalar` entry points always run the
+/// portable loops, the only path elsewhere; the tests pin the tiles to
+/// them.
+Tensor FusedAttentionForwardScalar(const Tensor& q, const Tensor& k,
+                                   const Tensor& v, const Tensor& mask,
+                                   const FusedAttentionConfig& cfg,
+                                   Tensor* row_max, Tensor* row_sum);
+void FusedAttentionBackwardScalar(const Tensor& dout, const Tensor& q,
+                                  const Tensor& k, const Tensor& v,
+                                  const Tensor& mask,
+                                  const FusedAttentionConfig& cfg,
+                                  const Tensor& row_max,
+                                  const Tensor& row_sum, Tensor* dq,
+                                  Tensor* dk, Tensor* dv);
+
+/// Whether FusedAttentionForward/Backward run the AVX-512 tiles for this
+/// head_dim in this build.
+bool FusedAttentionUsesTiles(int64_t head_dim);
 
 }  // namespace ops
 }  // namespace emx

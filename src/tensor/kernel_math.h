@@ -77,23 +77,35 @@ inline float TanhApprox(float x) {
 /// ln(FLT_MAX) it is +inf; NaN propagates. Max relative error against
 /// std::exp on [-87, 88]: 8.0e-8 with FMA, 1.04e-7 without. Every
 /// multiply-add goes through MulAdd, so every caller gets the same bits.
+/// ExpApprox's constants; the fused attention kernel's 16-lane copy reads
+/// the same ones.
+namespace exp_approx {
+constexpr float kLo = -87.33654022216797f;  // first float above ln(FLT_MIN)
+constexpr float kHi = 88.72283172607422f;   // last float below ln(FLT_MAX)
+constexpr float kShifter = 0x1.8p23f;
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f;
+constexpr float kLn2Lo = -2.12194440e-4f;
+// q(r) by Horner from r^4 down; then 0.5, 1 and 1 complete 1 + r + r^2 q.
+constexpr float kQ4 = 1.3926176119935578884e-3f;
+constexpr float kQ3 = 8.3631730745137109028e-3f;
+constexpr float kQ2 = 4.1666554662050533982e-2f;
+constexpr float kQ1 = 1.6666577025597988190e-1f;
+}  // namespace exp_approx
+
 inline float ExpApprox(float x) {
-  constexpr float kLo = -87.33654022216797f;  // first float above ln(FLT_MIN)
-  constexpr float kHi = 88.72283172607422f;   // last float below ln(FLT_MAX)
-  constexpr float kShifter = 0x1.8p23f;
-  constexpr float kLn2Hi = 0.693359375f;
-  constexpr float kLn2Lo = -2.12194440e-4f;
+  using namespace exp_approx;
   const float xc = Select(x > kHi, kHi, Select(x < kLo, kLo, x));
-  const float t = MulAdd(xc, 1.44269504088896341f, kShifter);
+  const float t = MulAdd(xc, kLog2e, kShifter);
   const float nf = t - kShifter;
   const uint32_t n =
       std::bit_cast<uint32_t>(t) - std::bit_cast<uint32_t>(kShifter);
   float r = MulAdd(nf, -kLn2Hi, xc);
   r = MulAdd(nf, -kLn2Lo, r);
-  float p = 1.3926176119935578884e-3f;
-  p = MulAdd(p, r, 8.3631730745137109028e-3f);
-  p = MulAdd(p, r, 4.1666554662050533982e-2f);
-  p = MulAdd(p, r, 1.6666577025597988190e-1f);
+  float p = kQ4;
+  p = MulAdd(p, r, kQ3);
+  p = MulAdd(p, r, kQ2);
+  p = MulAdd(p, r, kQ1);
   p = MulAdd(p, r, 0.5f);
   p = MulAdd(p, r, 1.0f);
   p = MulAdd(p, r, 1.0f);

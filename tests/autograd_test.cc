@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
+#include <string>
 #include <thread>
 #include <tuple>
 
 #include "tensor/autograd_ops.h"
+#include "tensor/fused_attention.h"
 #include "tensor/kernel_math.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -986,6 +991,300 @@ TEST(FusedAttentionTest, BackwardDeterministicAcrossCalls) {
     EXPECT_EQ(dk1[i], dk2[i]);
     EXPECT_EQ(dv1[i], dv2[i]);
   }
+}
+
+
+// ---- FusedAttention register tiles ------------------------------------------
+//
+// The tests above use hidden 8 (head_dim 2-4), which only the portable loops
+// serve. These sweep head sizes the AVX-512 tiles take (head_dim % 16 == 0)
+// and one they do not (24), over row and column counts on both sides of the
+// 4-row, 16-lane and 64-column tile edges, every mask layout, dead rows,
+// dropout, non-finite inputs and 1 vs 4 threads. The tiles must match the
+// portable loops (ops::FusedAttention*Scalar) bit for bit in the output, the
+// row statistics and all three gradients, and the unfused reference chain
+// in the output. On builds without the tiles both sides run the same loops.
+
+enum class MaskKind { kNone, kKeys, kRows, kHeads };
+
+/// Bit equality, except that any NaN matches any NaN: x86 keeps the
+/// payload of whichever NaN operand an instruction form lists first, so two
+/// correct kernels may differ in NaN payloads but in nothing else.
+void ExpectSameBits(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << what << " index " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+struct TileCase {
+  int64_t dh = 16;
+  int64_t tq = 1;
+  int64_t tk = 1;
+  MaskKind mask = MaskKind::kNone;
+  float dropout_p = 0.0f;
+  bool dead_rows = false;     // block every key of some query rows
+  bool non_finite = false;    // NaN and +-inf entries in q
+  std::string Name() const {
+    return "dh" + std::to_string(dh) + " tq" + std::to_string(tq) + " tk" +
+           std::to_string(tk) + " mask" + std::to_string(static_cast<int>(mask)) +
+           (dropout_p > 0 ? " dropout" : "") + (dead_rows ? " dead" : "") +
+           (non_finite ? " nonfinite" : "");
+  }
+};
+
+struct TileInputs {
+  Tensor q, k, v, dout, mask;
+  ops::FusedAttentionConfig cfg;
+  uint64_t drop_rng_seed = 0;  // Rng(drop_rng_seed).Next() == cfg.dropout_seed
+};
+
+constexpr int64_t kTileBatch = 2;
+constexpr int64_t kTileHeads = 2;
+
+TileInputs MakeTileInputs(const TileCase& c, uint64_t seed) {
+  Rng rng(seed);
+  const int64_t b = kTileBatch, heads = kTileHeads, hidden = heads * c.dh;
+  TileInputs in;
+  in.q = Tensor::Randn({b, c.tq, hidden}, &rng, 0.9f);
+  in.k = Tensor::Randn({b, c.tk, hidden}, &rng, 0.9f);
+  in.v = Tensor::Randn({b, c.tk, hidden}, &rng, 0.9f);
+  in.dout = Tensor::Randn({b, c.tq, hidden}, &rng, 0.9f);
+  switch (c.mask) {
+    case MaskKind::kNone: break;
+    case MaskKind::kKeys: in.mask = Tensor::Zeros({b, 1, 1, c.tk}); break;
+    case MaskKind::kRows: in.mask = Tensor::Zeros({b, 1, c.tq, c.tk}); break;
+    case MaskKind::kHeads:
+      in.mask = Tensor::Zeros({b, heads, c.tq, c.tk});
+      break;
+  }
+  if (in.mask.size() > 0) {
+    // A padding tail per batch plus scattered blocks, so rows differ.
+    const int64_t rows = in.mask.size() / c.tk;
+    for (int64_t r = 0; r < rows; ++r) {
+      float* row = in.mask.data() + r * c.tk;
+      const int64_t tail = (r % 3) * c.tk / 5;
+      for (int64_t j = c.tk - tail; j < c.tk; ++j) row[j] = 1.0f;
+      for (int64_t j = 0; j < c.tk; ++j) {
+        if (rng.Next() % 7 == 0) row[j] = 1.0f;
+      }
+      if (c.dead_rows && r % 2 == 1) std::fill(row, row + c.tk, 1.0f);
+    }
+  }
+  if (c.non_finite) {
+    float* q = in.q.data();
+    q[0] = std::numeric_limits<float>::quiet_NaN();
+    q[in.q.size() - 1] = std::numeric_limits<float>::infinity();
+    if (in.q.size() > hidden + 1) {
+      q[hidden + 1] = -std::numeric_limits<float>::infinity();
+    }
+  }
+  in.cfg.num_heads = heads;
+  in.cfg.scale = 1.0f / std::sqrt(static_cast<float>(c.dh));
+  if (c.dropout_p > 0.0f) {
+    in.drop_rng_seed = seed * 31 + 7;
+    Rng drop(in.drop_rng_seed);
+    in.cfg.dropout = true;
+    in.cfg.dropout_p = c.dropout_p;
+    in.cfg.dropout_seed = drop.Next();
+  }
+  return in;
+}
+
+struct TileOutputs {
+  Tensor out, row_max, row_sum, dq, dk, dv;
+};
+
+TileOutputs RunAttention(const TileInputs& in, bool scalar) {
+  TileOutputs r;
+  r.out = scalar ? ops::FusedAttentionForwardScalar(in.q, in.k, in.v, in.mask,
+                                                     in.cfg, &r.row_max,
+                                                     &r.row_sum)
+                 : ops::FusedAttentionForward(in.q, in.k, in.v, in.mask,
+                                               in.cfg, &r.row_max, &r.row_sum);
+  r.dq = Tensor(in.q.shape());
+  r.dk = Tensor(in.k.shape());
+  r.dv = Tensor(in.v.shape());
+  if (scalar) {
+    ops::FusedAttentionBackwardScalar(in.dout, in.q, in.k, in.v, in.mask,
+                                      in.cfg, r.row_max, r.row_sum, &r.dq,
+                                      &r.dk, &r.dv);
+  } else {
+    ops::FusedAttentionBackward(in.dout, in.q, in.k, in.v, in.mask, in.cfg,
+                                r.row_max, r.row_sum, &r.dq, &r.dk, &r.dv);
+  }
+  return r;
+}
+
+void ExpectSameOutputs(const TileOutputs& got, const TileOutputs& want,
+                       const std::string& what) {
+  ExpectSameBits(got.out, want.out, what + " out");
+  ExpectSameBits(got.row_max, want.row_max, what + " row_max");
+  ExpectSameBits(got.row_sum, want.row_sum, what + " row_sum");
+  ExpectSameBits(got.dq, want.dq, what + " dq");
+  ExpectSameBits(got.dk, want.dk, what + " dk");
+  ExpectSameBits(got.dv, want.dv, what + " dv");
+}
+
+/// The unfused chain on the same inputs, dropout included (ag::Dropout
+/// draws the seed the fused config was given).
+Tensor ReferenceOutput(const TileInputs& in, const TileCase& c) {
+  Variable q = Variable::Constant(in.q);
+  Variable k = Variable::Constant(in.k);
+  Variable v = Variable::Constant(in.v);
+  if (c.dropout_p <= 0.0f) {
+    return ReferenceAttention(q, k, v, in.mask, kTileHeads).value();
+  }
+  const int64_t b = kTileBatch, hidden = kTileHeads * c.dh;
+  auto split = [&](const Variable& x, int64_t t) {
+    return ag::Permute(ag::Reshape(x, {b, t, kTileHeads, c.dh}), {0, 2, 1, 3});
+  };
+  Variable scores = ag::MulScalar(
+      ag::MatMul(split(q, c.tq), split(k, c.tk), false, true), in.cfg.scale);
+  Variable probs = in.mask.size() > 0 ? ag::MaskedSoftmax(scores, in.mask)
+                                      : ag::Softmax(scores);
+  Rng drop(in.drop_rng_seed);
+  probs = ag::Dropout(probs, c.dropout_p, true, &drop);
+  return ag::PermuteReshape(ag::MatMul(probs, split(v, c.tk)), {0, 2, 1, 3},
+                            {b, c.tq, hidden})
+      .value();
+}
+
+/// Tiles vs portable loops (everything) and vs the reference chain (the
+/// output; non-finite rows excluded, see NonFiniteInputsMatchScalar).
+void CheckTileCase(const TileCase& c, uint64_t seed) {
+  SCOPED_TRACE(c.Name());
+  const TileInputs in = MakeTileInputs(c, seed);
+  const TileOutputs tiled = RunAttention(in, /*scalar=*/false);
+  const TileOutputs scalar = RunAttention(in, /*scalar=*/true);
+  ExpectSameOutputs(tiled, scalar, c.Name());
+  if (!c.non_finite) {
+    ExpectSameBits(tiled.out, ReferenceOutput(in, c), c.Name() + " vs reference");
+  }
+}
+
+TEST(FusedAttentionTileTest, TilesTakeHeadDimsOfSixteen) {
+#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__FMA__)
+  for (int64_t dh : {16, 32, 48, 64, 128}) {
+    EXPECT_TRUE(ops::FusedAttentionUsesTiles(dh)) << dh;
+  }
+#endif
+  for (int64_t dh : {2, 4, 8, 24, 40}) {
+    EXPECT_FALSE(ops::FusedAttentionUsesTiles(dh)) << dh;
+  }
+}
+
+TEST(FusedAttentionTileTest, ShapeAndMaskSweepMatchesScalarAndReference) {
+  uint64_t seed = 1000;
+  int64_t n = 0;
+  for (int64_t dh : {16, 32, 48, 64, 24}) {
+    for (int64_t tq : {1, 2, 3, 4, 5, 17, 33, 64}) {
+      for (int64_t tk : {1, 15, 16, 17, 63, 64, 65, 130}) {
+        for (MaskKind mask : {MaskKind::kNone, MaskKind::kKeys,
+                              MaskKind::kRows, MaskKind::kHeads}) {
+          TileCase c;
+          c.dh = dh;
+          c.tq = tq;
+          c.tk = tk;
+          c.mask = mask;
+          // Dropout on every third case keeps the sweep's cost down while
+          // still crossing every shape with it at some mask.
+          c.dropout_p = (n % 3 == 0) ? 0.2f : 0.0f;
+          CheckTileCase(c, ++seed);
+          ++n;
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedAttentionTileTest, DeadRowsMatchScalarAndReference) {
+  uint64_t seed = 3000;
+  for (int64_t dh : {16, 32}) {
+    for (MaskKind mask : {MaskKind::kKeys, MaskKind::kRows, MaskKind::kHeads}) {
+      for (float p : {0.0f, 0.3f}) {
+        TileCase c;
+        c.dh = dh;
+        c.tq = 9;
+        c.tk = 33;
+        c.mask = mask;
+        c.dead_rows = true;
+        c.dropout_p = p;
+        CheckTileCase(c, ++seed);
+      }
+    }
+  }
+}
+
+TEST(FusedAttentionTileTest, NonFiniteInputsMatchScalar) {
+  // A NaN in a query row makes every score of that row NaN: both kernels'
+  // running max skips NaN (the row is then "dead" and attends to nothing),
+  // where the reference chain's Softmax seeds its max with element 0 and
+  // propagates the NaN. So these cases pin the tiles to the portable loops
+  // only.
+  uint64_t seed = 4000;
+  for (int64_t dh : {16, 32, 24}) {
+    for (MaskKind mask : {MaskKind::kNone, MaskKind::kKeys}) {
+      for (float p : {0.0f, 0.25f}) {
+        TileCase c;
+        c.dh = dh;
+        c.tq = 6;
+        c.tk = 19;
+        c.mask = mask;
+        c.non_finite = true;
+        c.dropout_p = p;
+        CheckTileCase(c, ++seed);
+      }
+    }
+  }
+}
+
+TEST(FusedAttentionTileTest, OneAndFourThreadsGiveTheSameBits) {
+  ASSERT_GE(GlobalThreadPool()->num_threads(), 4u);
+  TileCase c;
+  c.dh = 32;
+  c.tq = 70;  // three forward row tiles per (b, h)
+  c.tk = 64;
+  c.mask = MaskKind::kKeys;
+  c.dropout_p = 0.1f;
+  const TileInputs in = MakeTileInputs(c, 5000);
+  const TileOutputs pooled = RunAttention(in, /*scalar=*/false);
+  // A ParallelFor issued from a pool worker runs inline: one thread.
+  TileOutputs one_thread;
+  GlobalThreadPool()->Submit(
+      [&] { one_thread = RunAttention(in, /*scalar=*/false); });
+  GlobalThreadPool()->Wait();
+  ExpectSameOutputs(one_thread, pooled, "1 vs 4 threads");
+  ExpectSameOutputs(pooled, RunAttention(in, /*scalar=*/true), "vs scalar");
+}
+
+TEST(FusedAttentionTileTest, BackwardAccumulatesOntoExistingGradients) {
+  // The kernels add into dq/dk/dv; both paths must start every chain from
+  // the value already there.
+  TileCase c;
+  c.dh = 16;
+  c.tq = 5;
+  c.tk = 17;
+  const TileInputs in = MakeTileInputs(c, 6000);
+  Rng rng(6001);
+  const Tensor dq0 = Tensor::Randn(in.q.shape(), &rng);
+  const Tensor dk0 = Tensor::Randn(in.k.shape(), &rng);
+  const Tensor dv0 = Tensor::Randn(in.v.shape(), &rng);
+  Tensor m, l;
+  ops::FusedAttentionForward(in.q, in.k, in.v, in.mask, in.cfg, &m, &l);
+  Tensor dq = dq0.Clone(), dk = dk0.Clone(), dv = dv0.Clone();
+  ops::FusedAttentionBackward(in.dout, in.q, in.k, in.v, in.mask, in.cfg, m, l,
+                              &dq, &dk, &dv);
+  Tensor sq = dq0.Clone(), sk = dk0.Clone(), sv = dv0.Clone();
+  ops::FusedAttentionBackwardScalar(in.dout, in.q, in.k, in.v, in.mask, in.cfg,
+                                    m, l, &sq, &sk, &sv);
+  ExpectSameBits(dq, sq, "dq");
+  ExpectSameBits(dk, sk, "dk");
+  ExpectSameBits(dv, sv, "dv");
 }
 
 }  // namespace
